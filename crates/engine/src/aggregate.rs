@@ -1,12 +1,12 @@
 //! Hash aggregation: accumulators, group tables, and the chunk
 //! aggregation kernel of the morsel-driven scan pipeline.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::hash::Hash;
 
 use olap_model::AggOp;
 
-use crate::key::KeyLayout;
+use crate::key::{FoldMap, KeyLayout};
 
 /// A per-measure aggregation accumulator over dense group slots.
 #[derive(Debug, Clone)]
@@ -53,6 +53,41 @@ impl Accumulator {
             Accumulator::Avg { sums, counts } => {
                 sums[idx] += value;
                 counts[idx] += 1.0;
+            }
+        }
+    }
+
+    /// Folds one value per slot-lane entry: `values` yields the measure
+    /// value of each entry, in lane (row) order. The operator is matched
+    /// once per call, so each arm is a tight typed loop.
+    #[inline]
+    fn fold(&mut self, slots: &[u32], values: impl Iterator<Item = f64>) {
+        match self {
+            Accumulator::Sum(v) => {
+                for (&s, x) in slots.iter().zip(values) {
+                    v[s as usize] += x;
+                }
+            }
+            Accumulator::Min(v) => {
+                for (&s, x) in slots.iter().zip(values) {
+                    v[s as usize] = v[s as usize].min(x);
+                }
+            }
+            Accumulator::Max(v) => {
+                for (&s, x) in slots.iter().zip(values) {
+                    v[s as usize] = v[s as usize].max(x);
+                }
+            }
+            Accumulator::Count(v) => {
+                for &s in slots {
+                    v[s as usize] += 1.0;
+                }
+            }
+            Accumulator::Avg { sums, counts } => {
+                for (&s, x) in slots.iter().zip(values) {
+                    sums[s as usize] += x;
+                    counts[s as usize] += 1.0;
+                }
             }
         }
     }
@@ -115,7 +150,7 @@ impl Accumulator {
 /// [`olap_model::Coordinate`] on the wide fallback path).
 #[derive(Debug)]
 pub struct GroupTable<K: Eq + Hash + Clone> {
-    map: HashMap<K, u32>,
+    map: FoldMap<K, u32>,
     keys: Vec<K>,
     accs: Vec<Accumulator>,
 }
@@ -123,7 +158,7 @@ pub struct GroupTable<K: Eq + Hash + Clone> {
 impl<K: Eq + Hash + Clone> GroupTable<K> {
     pub fn new(ops: &[AggOp]) -> Self {
         GroupTable {
-            map: HashMap::new(),
+            map: FoldMap::default(),
             keys: Vec::new(),
             accs: ops.iter().map(|op| Accumulator::new(*op)).collect(),
         }
@@ -146,16 +181,31 @@ impl<K: Eq + Hash + Clone> GroupTable<K> {
     /// The dense slot of `key`, creating it if new.
     #[inline]
     pub fn slot(&mut self, key: K) -> usize {
-        if let Some(&idx) = self.map.get(&key) {
-            return idx as usize;
+        let idx = self.intern(key);
+        self.grow_accs();
+        idx as usize
+    }
+
+    /// The slot of `key`, appending it to the key list if new, *without*
+    /// growing the accumulators — callers follow with [`Self::grow_accs`].
+    #[inline]
+    fn intern(&mut self, key: K) -> u32 {
+        let next = self.keys.len() as u32;
+        match self.map.entry(key) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                self.keys.push(e.key().clone());
+                *e.insert(next)
+            }
         }
-        let idx = self.keys.len();
-        self.map.insert(key.clone(), idx as u32);
-        self.keys.push(key);
+    }
+
+    /// Grows every accumulator to one slot per key.
+    fn grow_accs(&mut self) {
+        let n = self.keys.len();
         for acc in &mut self.accs {
-            acc.grow_to(idx + 1);
+            acc.grow_to(n);
         }
-        idx
     }
 
     /// The dense slot of `key`, if present.
@@ -210,8 +260,7 @@ impl<K: Eq + Hash + Clone> GroupTable<K> {
     /// Rebuilds a group table from raw parts produced by [`Self::into_raw`]
     /// (possibly deserialized from a remote shard).
     pub fn from_raw(keys: Vec<K>, mut accs: Vec<Accumulator>) -> Self {
-        let map =
-            keys.iter().enumerate().map(|(i, k)| (k.clone(), i as u32)).collect::<HashMap<_, _>>();
+        let map = keys.iter().enumerate().map(|(i, k)| (k.clone(), i as u32)).collect();
         for acc in &mut accs {
             acc.grow_to(keys.len());
         }
@@ -219,14 +268,35 @@ impl<K: Eq + Hash + Clone> GroupTable<K> {
     }
 }
 
+/// The per-thread lanes of [`accumulate_chunk`]: one packed key and one
+/// group slot per folded row. They live in the scan's
+/// [`MorselScratch`](crate::pool::MorselScratch), grow to the morsel size
+/// once and are reused for every chunk.
+#[derive(Debug, Default)]
+pub struct GroupLanes {
+    keys: Vec<u64>,
+    slots: Vec<u32>,
+}
+
 /// The aggregation kernel of the morsel pipeline: folds the rows of one
 /// chunk into `out`, packing each row's group key with `layout`.
 ///
 /// All inputs are flat buffers the chunk layer prepared (see
-/// `DataChunk::key_lane` / `f64_lane`): the kernel reads `u32` member
-/// codes and `f64` measure values with no per-row type or encoding
-/// dispatch, so the key-packing and value loads auto-vectorize and only
-/// the hash-table update remains irreducibly branchy.
+/// `DataChunk::key_lane` / `f64_lane`), so no loop dispatches on a type
+/// or an encoding. The kernel runs three passes over the folded rows:
+///
+/// 1. **key lane** — one loop per group-by component ORs
+///    `roll[code] << shift` into `lanes.keys`;
+/// 2. **slot lane** — maps each key to its dense group slot in `out`,
+///    creating slots in first-seen order. This is the only branchy loop;
+///    a one-entry last-key check skips the probe on runs of equal keys
+///    (the facts are clustered by date);
+/// 3. **typed folds** — per accumulator, one loop matched once on the
+///    operator, e.g. `sums[slot[i]] += vals[sel[i]]`.
+///
+/// Every slot receives its values in row order, exactly as a row-at-a-time
+/// [`GroupTable::update`] loop would feed it, so results are bit-identical
+/// to that loop for every operator and value.
 ///
 /// * `len` — rows in the chunk; every lane must have that length;
 /// * `selection` — chunk-local ids of the rows to fold (the predicate
@@ -236,37 +306,47 @@ impl<K: Eq + Hash + Clone> GroupTable<K> {
 /// * `measures` — one value lane per measure, in accumulator order.
 pub fn accumulate_chunk(
     out: &mut GroupTable<u64>,
+    lanes: &mut GroupLanes,
     layout: &KeyLayout,
     len: usize,
     selection: Option<&[u32]>,
     keys: &[(&[u32], &[u32])],
     measures: &[&[f64]],
 ) {
-    let mut values = vec![0.0f64; measures.len()];
-    let mut fold = |row: usize| {
-        let mut key = 0u64;
-        for (comp, (lane, rollmap)) in keys.iter().enumerate() {
-            layout.pack_code(&mut key, comp, rollmap[lane[row] as usize]);
-        }
-        if measures.len() == 1 {
-            out.update1(key, measures[0][row]);
-        } else {
-            for (v, m) in values.iter_mut().zip(measures) {
-                *v = m[row];
+    let GroupLanes { keys: key_lane, slots } = lanes;
+    key_lane.clear();
+    key_lane.resize(selection.map_or(len, <[u32]>::len), 0);
+    for (comp, (codes, roll)) in keys.iter().enumerate() {
+        let shift = layout.shift(comp);
+        match selection {
+            Some(sel) => {
+                for (key, &row) in key_lane.iter_mut().zip(sel) {
+                    *key |= u64::from(roll[codes[row as usize] as usize]) << shift;
+                }
             }
-            out.update(key, &values);
-        }
-    };
-    match selection {
-        Some(sel) => {
-            for &row in sel {
-                fold(row as usize);
+            None => {
+                for (key, &code) in key_lane.iter_mut().zip(&codes[..len]) {
+                    *key |= u64::from(roll[code as usize]) << shift;
+                }
             }
         }
-        None => {
-            for row in 0..len {
-                fold(row);
-            }
+    }
+
+    // `!first` differs from the first key, so the first row always probes.
+    let mut last = key_lane.first().map_or((0, 0), |&k| (!k, 0));
+    slots.clear();
+    slots.extend(key_lane.iter().map(|&key| {
+        if key != last.0 {
+            last = (key, out.intern(key));
+        }
+        last.1
+    }));
+    out.grow_accs();
+
+    for (acc, vals) in out.accs.iter_mut().zip(measures) {
+        match selection {
+            Some(sel) => acc.fold(slots, sel.iter().map(|&row| vals[row as usize])),
+            None => acc.fold(slots, vals[..len].iter().copied()),
         }
     }
 }
@@ -274,6 +354,7 @@ pub fn accumulate_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use olap_model::MemberId;
 
     #[test]
     fn sum_and_avg_accumulate() {
@@ -362,25 +443,25 @@ mod tests {
 
         let mut expected: GroupTable<u64> = GroupTable::new(&ops);
         for row in [1usize, 3, 4] {
-            let mut key = 0u64;
-            layout.pack_code(&mut key, 0, roll_a[fk_a[row] as usize]);
-            layout.pack_code(&mut key, 1, roll_b[fk_b[row] as usize]);
-            expected.update(key, &[m1[row], m2[row]]);
+            let members =
+                [MemberId(roll_a[fk_a[row] as usize]), MemberId(roll_b[fk_b[row] as usize])];
+            expected.update(layout.pack(&members), &[m1[row], m2[row]]);
         }
+        let mut lanes = GroupLanes::default();
         let mut out: GroupTable<u64> = GroupTable::new(&ops);
-        accumulate_chunk(&mut out, &layout, 6, Some(&[1, 3, 4]), &keys, &measures);
+        accumulate_chunk(&mut out, &mut lanes, &layout, 6, Some(&[1, 3, 4]), &keys, &measures);
         assert_eq!(out.finish(), expected.finish());
 
-        // No selection folds every row; single-measure path hits update1.
+        // No selection folds every row.
         let mut all: GroupTable<u64> = GroupTable::new(&[AggOp::Sum]);
-        accumulate_chunk(&mut all, &layout, 6, None, &keys, &measures[..1]);
+        accumulate_chunk(&mut all, &mut lanes, &layout, 6, None, &keys, &measures[..1]);
         let (_, cols) = all.finish();
         assert_eq!(cols[0].iter().sum::<f64>(), 21.0);
     }
 
     #[test]
     fn wide_keys_work() {
-        use olap_model::{Coordinate, MemberId};
+        use olap_model::Coordinate;
         let mut t: GroupTable<Coordinate> = GroupTable::new(&[AggOp::Sum]);
         let k = Coordinate::new(vec![MemberId(1), MemberId(2)]);
         t.update1(k.clone(), 4.0);

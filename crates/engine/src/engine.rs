@@ -7,9 +7,9 @@ use olap_model::{
     AggOp, Coordinate, CubeColumn, CubeQuery, CubeSchema, DerivedCube, GroupBySet, MemberId,
     NumericColumn,
 };
-use olap_storage::{Catalog, KeyAccess, MaterializedAggregate, NumericSlice, Table};
+use olap_storage::{Catalog, MaterializedAggregate, NumericSlice, Table};
 
-use crate::aggregate::{accumulate_chunk, GroupTable};
+use crate::aggregate::{accumulate_chunk, GroupLanes, GroupTable};
 use crate::error::EngineError;
 use crate::fault::{FaultInjector, FaultSite};
 use crate::governor::{ResourceGovernor, CHECK_INTERVAL};
@@ -124,6 +124,15 @@ struct GetInternal {
     per_shard: Vec<ShardScan>,
 }
 
+/// A validated `get`: its cube binding, schema, per-measure operators and
+/// packed-key layout.
+struct GetPlan {
+    binding: Arc<olap_storage::CubeBinding>,
+    schema: Arc<CubeSchema>,
+    ops: Vec<AggOp>,
+    layout: KeyLayout,
+}
+
 /// Which storage object a morsel-driven scan reads.
 enum ScanSource {
     Fact(Arc<Table>),
@@ -169,10 +178,11 @@ fn lane_slot(lane_cols: &mut Vec<usize>, col: usize) -> usize {
 }
 
 impl ScanCtx {
-    /// Runs the kernels over one morsel's decoded lanes.
+    /// Runs the select and accumulate kernels over one chunk's lanes.
     fn run_kernels(
         &self,
         sel: &mut Vec<u32>,
+        group: &mut GroupLanes,
         out: &mut GroupTable<u64>,
         len: usize,
         lanes: &[Vec<u32>],
@@ -191,7 +201,35 @@ impl ScanCtx {
             .iter()
             .map(|(slot, roll)| (lanes[*slot].as_slice(), roll.as_slice()))
             .collect();
-        accumulate_chunk(out, &self.layout, len, selection, &keys, measures);
+        accumulate_chunk(out, group, &self.layout, len, selection, &keys, measures);
+    }
+
+    /// Gathers the fact rows `rows` into the scratch lanes by point reads
+    /// and runs the kernels over them as one chunk — the hash-index path,
+    /// whose sparse row sets would waste a range decode.
+    fn process_rows(
+        &self,
+        fact: &Table,
+        rows: &[u32],
+        scratch: &mut MorselScratch,
+        out: &mut GroupTable<u64>,
+    ) {
+        scratch.ensure_slots(self.lane_cols.len(), self.measures.len());
+        let cols = fact.columns();
+        for (col, buf) in self.lane_cols.iter().zip(scratch.lanes.iter_mut()) {
+            let codes = cols[*col].key_access().expect("validated key column");
+            buf.clear();
+            buf.extend(rows.iter().map(|&row| codes.get(row as usize) as u32));
+        }
+        for (col, buf) in self.measures.iter().zip(scratch.vals.iter_mut()) {
+            let values = NumericSlice::from_column(&cols[*col]).expect("validated measure");
+            buf.clear();
+            buf.extend(rows.iter().map(|&row| values.get(row as usize)));
+        }
+        let measures: Vec<&[f64]> =
+            scratch.vals[..self.measures.len()].iter().map(Vec::as_slice).collect();
+        let MorselScratch { sel, lanes, group, .. } = scratch;
+        self.run_kernels(sel, group, out, rows.len(), lanes, &measures);
     }
 }
 
@@ -245,7 +283,8 @@ impl MorselScan for ScanCtx {
                 for (idx, buf) in self.measures.iter().zip(scratch.vals.iter_mut()) {
                     measures.push(chunk.f64_lane(*idx, buf).expect("validated measure column"));
                 }
-                self.run_kernels(&mut scratch.sel, out, len, &scratch.lanes, &measures);
+                let (sel, group) = (&mut scratch.sel, &mut scratch.group);
+                self.run_kernels(sel, group, out, len, &scratch.lanes, &measures);
             }
             ScanSource::View(v) => {
                 for (comp, buf) in self.lane_cols.iter().zip(scratch.lanes.iter_mut()) {
@@ -257,7 +296,8 @@ impl MorselScan for ScanCtx {
                     .iter()
                     .map(|idx| &v.measure_at(*idx).expect("validated view measure")[lo..hi])
                     .collect();
-                self.run_kernels(&mut scratch.sel, out, len, &scratch.lanes, &measures);
+                let (sel, group) = (&mut scratch.sel, &mut scratch.group);
+                self.run_kernels(sel, group, out, len, &scratch.lanes, &measures);
             }
         }
         Ok(())
@@ -496,23 +536,21 @@ impl Engine {
     /// to a wide-key scan (`crate::wide`); fused join/pivot paths keep
     /// requiring packed keys.
     pub fn get(&self, q: &CubeQuery) -> Result<GetOutcome, EngineError> {
-        let outcome = match self.run_get(q) {
-            Ok(internal) => materialize(internal),
-            // The wide fallback reads the coordinator's own fact table,
-            // which is empty by design when sharded — propagate instead.
-            Err(EngineError::Unsupported(msg))
-                if msg.contains("wide keys") && self.shards.is_none() =>
-            {
-                let o = crate::wide::get_wide(&self.catalog, q, self.config.morsel_rows)?;
-                self.metrics.record_scan(
-                    ScanPath::Wide,
-                    o.rows_scanned as u64,
-                    o.morsels as u64,
-                    o.parallelism as u64,
-                );
-                o
-            }
-            Err(e) => return Err(e),
+        let plan = self.plan_get(q)?;
+        // The wide fallback reads the coordinator's own fact table, which
+        // is empty by design when sharded — a sharded wide get fails in
+        // `run_planned` instead.
+        let outcome = if plan.layout.fits_u64() || self.shards.is_some() {
+            materialize(self.run_planned(q, plan)?)
+        } else {
+            let o = crate::wide::get_wide(&self.catalog, q, self.config.morsel_rows)?;
+            self.metrics.record_scan(
+                ScanPath::Wide,
+                o.rows_scanned as u64,
+                o.morsels as u64,
+                o.parallelism as u64,
+            );
+            o
         };
         self.gov_charge_cells(outcome.cube.len())?;
         Ok(outcome)
@@ -540,24 +578,23 @@ impl Engine {
                 right.measures.len()
             )));
         }
-        let right_index: std::collections::HashMap<u64, u32> =
-            right.table.keys().iter().enumerate().map(|(slot, &key)| (key, slot as u32)).collect();
 
         let rows_scanned = left.rows_scanned + right.rows_scanned;
         let parallelism = left.parallelism.max(right.parallelism);
         let morsels = left.morsels + right.morsels;
         let per_shard = merge_shard_scans(&left.per_shard, &right.per_shard);
         let (left_keys, left_cols) = left.table.finish();
-        let (_, right_cols) = right.table.finish();
 
-        let mut kept_rows: Vec<(usize, Option<u32>)> = Vec::with_capacity(left_keys.len());
-        for (row, &key) in left_keys.iter().enumerate() {
-            let matched = right_index.get(&key).copied();
-            match (kind, matched) {
+        // Probe the benchmark side's group table directly — no separate
+        // join index needs to be built.
+        let mut kept_rows: Vec<(usize, Option<usize>)> = Vec::with_capacity(left_keys.len());
+        for (row, key) in left_keys.iter().enumerate() {
+            match (kind, right.table.lookup(key)) {
                 (JoinKind::Inner, None) => {}
                 (_, m) => kept_rows.push((row, m)),
             }
         }
+        let (_, right_cols) = right.table.finish();
 
         let mut coord_cols: Vec<Vec<MemberId>> =
             (0..left.group_by.arity()).map(|_| Vec::with_capacity(kept_rows.len())).collect();
@@ -573,7 +610,7 @@ impl Engine {
         }
         for (name, col) in right_renames.iter().zip(right_cols.iter()) {
             let data: Vec<Option<f64>> =
-                kept_rows.iter().map(|(_, m)| m.map(|slot| col[slot as usize])).collect();
+                kept_rows.iter().map(|(_, m)| m.map(|slot| col[slot])).collect();
             columns.push(CubeColumn::Numeric(NumericColumn::nullable(name.clone(), data)));
         }
         let mut cube = DerivedCube::from_parts(left.schema, left.group_by, coord_cols, columns)?;
@@ -929,6 +966,11 @@ impl Engine {
 
     /// Runs a get into the internal packed representation.
     fn run_get(&self, q: &CubeQuery) -> Result<GetInternal, EngineError> {
+        self.run_planned(q, self.plan_get(q)?)
+    }
+
+    /// Validates a get and lays out its packed group-by key.
+    fn plan_get(&self, q: &CubeQuery) -> Result<GetPlan, EngineError> {
         self.gov_check()?;
         let binding = self.catalog.binding(&q.cube)?;
         let schema = binding.schema().clone();
@@ -947,6 +989,12 @@ impl Engine {
             })
             .collect();
         let layout = KeyLayout::for_cardinalities(&cardinalities);
+        Ok(GetPlan { binding, schema, ops, layout })
+    }
+
+    /// Runs a planned get; its key must pack into a machine word.
+    fn run_planned(&self, q: &CubeQuery, plan: GetPlan) -> Result<GetInternal, EngineError> {
+        let GetPlan { binding, schema, ops, layout } = plan;
         if !layout.fits_u64() {
             return Err(EngineError::Unsupported(format!(
                 "group-by key needs {} bits; wide keys are not supported by the fused engine paths",
@@ -1180,52 +1228,33 @@ impl Engine {
             measures.push(fact.column_index(col_name).expect("numeric_slice checked existence"));
         }
 
+        let ctx = ScanCtx {
+            source: ScanSource::Fact(fact.clone()),
+            lane_cols,
+            masks,
+            keys,
+            measures,
+            layout: layout.clone(),
+            ops: ops.to_vec(),
+        };
+
         // Index fast path: a highly selective point predicate on a finest
         // level (e.g. `store = 'SmartMart'`) fetches the matching rows from
         // the foreign-key hash index — the paper's B-tree-indexed keys —
         // instead of scanning the whole fact table. The row set is sparse,
-        // so this path stays serial and row-at-a-time, reading encoded key
-        // columns through point accessors instead of decoding whole lanes.
+        // so this path stays serial and gathers its rows by point reads,
+        // `CHECK_INTERVAL` at a time, into the same lanes and kernels as a
+        // morsel scan.
         if self.config.use_indexes {
             if let Some(rows) = self.index_row_set(q, &fact, binding)? {
                 self.gov_charge_rows(rows.len())?;
-                let cols = fact.columns();
-                let access = |slot: usize| cols[lane_cols[slot]].key_access().expect("validated");
-                let mask_inputs: Vec<(KeyAccess<'_>, &[bool])> =
-                    masks.iter().map(|(slot, m)| (access(*slot), &**m)).collect();
-                let key_inputs: Vec<(KeyAccess<'_>, &[u32])> =
-                    keys.iter().map(|(slot, roll)| (access(*slot), roll.as_slice())).collect();
-                let measure_slices: Vec<NumericSlice<'_>> = measures
-                    .iter()
-                    .map(|idx| NumericSlice::from_column(&cols[*idx]).expect("validated"))
-                    .collect();
-                let mut table: GroupTable<u64> = GroupTable::new(ops);
-                let mut values = vec![0.0f64; measure_slices.len()];
-                let rows_scanned = rows.len();
-                'rows: for (i, &row) in rows.iter().enumerate() {
-                    if i.is_multiple_of(CHECK_INTERVAL) {
-                        self.gov_check()?;
-                    }
-                    let row = row as usize;
-                    for (fks, mask) in &mask_inputs {
-                        if !mask[fks.get(row) as usize] {
-                            continue 'rows;
-                        }
-                    }
-                    let mut key = 0u64;
-                    for (comp, (fks, rollmap)) in key_inputs.iter().enumerate() {
-                        layout.pack_code(&mut key, comp, rollmap[fks.get(row) as usize]);
-                    }
-                    if values.len() == 1 {
-                        table.update1(key, measure_slices[0].get(row));
-                    } else {
-                        for (v, mv) in values.iter_mut().zip(&measure_slices) {
-                            *v = mv.get(row);
-                        }
-                        table.update(key, &values);
-                    }
+                let mut table = ctx.new_table();
+                let mut scratch = MorselScratch::default();
+                for batch in rows.chunks(CHECK_INTERVAL) {
+                    self.gov_check()?;
+                    ctx.process_rows(&fact, batch, &mut scratch, &mut table);
                 }
-                self.metrics.record_scan(ScanPath::Index, rows_scanned as u64, 0, 1);
+                self.metrics.record_scan(ScanPath::Index, rows.len() as u64, 0, 1);
                 return Ok(GetInternal {
                     schema: schema.clone(),
                     group_by: q.group_by.clone(),
@@ -1233,7 +1262,7 @@ impl Engine {
                     table,
                     measures: q.measures.clone(),
                     used_view: None,
-                    rows_scanned,
+                    rows_scanned: rows.len(),
                     parallelism: 1,
                     morsels: 0,
                     per_shard: Vec::new(),
@@ -1244,15 +1273,7 @@ impl Engine {
         self.fault(FaultSite::Scan)?;
         let n = fact.n_rows();
         self.gov_charge_rows(n)?;
-        let run = self.run_scan(ScanCtx {
-            source: ScanSource::Fact(fact.clone()),
-            lane_cols,
-            masks,
-            keys,
-            measures,
-            layout: layout.clone(),
-            ops: ops.to_vec(),
-        })?;
+        let run = self.run_scan(ctx)?;
         self.metrics.record_scan(
             ScanPath::Fact,
             n as u64,

@@ -1,12 +1,64 @@
-//! Packed group-by keys.
+//! Packed group-by keys and the hasher they are probed with.
 //!
-//! Aggregation hashes one key per qualifying fact row, so key construction
-//! dominates the inner loop. When the combined bit width of all group-by
-//! components fits a machine word the engine packs the member ids into a
-//! single `u64`; otherwise it falls back to boxed wide keys. The layout also
-//! unpacks keys back into member ids when materializing result coordinates.
+//! Aggregation slots one key per qualifying fact row, so key construction
+//! and the group-table probe dominate the inner loop. When the combined bit
+//! width of all group-by components fits a machine word
+//! ([`KeyLayout::fits_u64`]) the engine packs the member ids into a single
+//! `u64`, component `c` at bit offset [`KeyLayout::shift`]`(c)`; the
+//! aggregation kernel builds a whole lane of such keys per morsel with one
+//! `key |= roll[code] << shift` loop per component. Otherwise `get` falls
+//! back to boxed wide keys (`crate::wide`). The layout also unpacks keys
+//! back into member ids when materializing result coordinates.
+//!
+//! Every map keyed by packed keys — group tables, the view index of append
+//! maintenance — hashes with [`FoldHasher`], a multiply-and-fold hasher:
+//! packed keys are member ids drawn from validated, bounded domains, so
+//! SipHash's flooding resistance buys little and costs most of a probe.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use olap_model::MemberId;
+
+/// A multiply-and-fold hasher for integer keys.
+///
+/// Words combine FxHash-style (rotate, xor, multiply); `finish` multiplies
+/// once more into 128 bits and xors the high half into the low one.
+/// hashbrown picks buckets from the low bits, and a plain multiply leaves
+/// those depending only on the key's low bits — yet packed keys often hold
+/// a constant low component (a filter fixing `c_region`), which would
+/// funnel every key into the same few buckets. The fold makes every output
+/// bit depend on every key bit.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct FoldHasher(u64);
+
+const FOLD_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl Hasher for FoldHasher {
+    /// Writes other than `u64` (the wide path's `Coordinate` keys) fold in
+    /// as 8-byte words.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(FOLD_MUL);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let product = u128::from(self.0) * u128::from(FOLD_MUL);
+        (product as u64) ^ ((product >> 64) as u64)
+    }
+}
+
+/// A hash map hashing with [`FoldHasher`].
+pub type FoldMap<K, V> = HashMap<K, V, BuildHasherDefault<FoldHasher>>;
 
 /// Bit layout of a packed group-by key.
 #[derive(Debug, Clone)]
@@ -49,6 +101,12 @@ impl KeyLayout {
         self.total_bits
     }
 
+    /// Bit offset of component `component` in a packed key.
+    #[inline]
+    pub fn shift(&self, component: usize) -> u32 {
+        self.shifts[component]
+    }
+
     /// Packs member ids into a `u64` key. Caller must have checked
     /// [`KeyLayout::fits_u64`]; ids must be within the declared domains.
     #[inline]
@@ -65,14 +123,6 @@ impl KeyLayout {
     #[inline]
     pub fn pack_component(&self, key: &mut u64, component: usize, member: MemberId) {
         *key |= (member.0 as u64) << self.shifts[component];
-    }
-
-    /// Packs a raw `u32` member code — the flat-lane scan kernels carry
-    /// member ids as plain codes; identical to [`KeyLayout::pack_component`]
-    /// without the newtype.
-    #[inline]
-    pub fn pack_code(&self, key: &mut u64, component: usize, code: u32) {
-        *key |= (code as u64) << self.shifts[component];
     }
 
     /// Unpacks a key back into member ids.

@@ -42,7 +42,6 @@
 //! [`StorageError::ConcurrentMutation`] and the append is retried from the
 //! fresh table, a bounded number of times.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use olap_model::{AggOp, Coordinate, MemberId};
@@ -53,7 +52,7 @@ use olap_storage::{
 use crate::aggregate::{accumulate_chunk, GroupTable};
 use crate::engine::Engine;
 use crate::error::EngineError;
-use crate::key::KeyLayout;
+use crate::key::{FoldMap, KeyLayout};
 use crate::pool::{run_morsels, MorselScan, MorselScratch, WorkerPool};
 
 /// Attempts before a repeatedly lost commit race is surfaced to the caller.
@@ -307,7 +306,8 @@ fn merge(
     let mut measures: Vec<Vec<f64>> = (0..view.measure_names().len())
         .map(|i| view.measure_at(i).expect("measure count checked at construction").to_vec())
         .collect();
-    let mut index: HashMap<u64, usize> = HashMap::with_capacity(view.len());
+    let mut index: FoldMap<u64, usize> =
+        FoldMap::with_capacity_and_hasher(view.len(), Default::default());
     for row in 0..view.len() {
         let mut key = 0u64;
         for (comp, col) in coords.iter().enumerate() {
@@ -475,7 +475,7 @@ impl MorselScan for RangeScan {
         for (idx, buf) in self.measures.iter().zip(scratch.vals.iter_mut()) {
             measures.push(chunk.f64_lane(*idx, buf).expect("resolved measure column"));
         }
-        accumulate_chunk(out, &self.layout, len, None, &keys, &measures);
+        accumulate_chunk(out, &mut scratch.group, &self.layout, len, None, &keys, &measures);
         Ok(())
     }
 }

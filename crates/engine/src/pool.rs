@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
-use crate::aggregate::GroupTable;
+use crate::aggregate::{GroupLanes, GroupTable};
 use crate::error::EngineError;
 use crate::fault::{FaultInjector, FaultSite};
 use crate::governor::ResourceGovernor;
@@ -249,9 +249,10 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
-/// Reusable per-worker scan scratch: the selection vector plus the decode
+/// Reusable per-worker scan scratch: the selection vector, the decode
 /// buffers the chunk layer fills with flat `u32` key lanes and `f64`
-/// measure lanes (`DataChunk::key_lane` / `f64_lane`). Each driving thread
+/// measure lanes (`DataChunk::key_lane` / `f64_lane`), and the key and
+/// slot lanes of the aggregation kernel. Each driving thread
 /// owns one scratch; its buffers grow to the morsel size once and are
 /// reused for every morsel that thread claims, so steady-state scanning
 /// allocates nothing.
@@ -264,6 +265,10 @@ pub struct MorselScratch {
     /// Measure lanes for columns that need conversion (plain `f64` columns
     /// are borrowed directly and leave their slot untouched).
     pub vals: Vec<Vec<f64>>,
+    /// Packed-key and group-slot lanes of [`accumulate_chunk`].
+    ///
+    /// [`accumulate_chunk`]: crate::aggregate::accumulate_chunk
+    pub group: GroupLanes,
 }
 
 impl MorselScratch {

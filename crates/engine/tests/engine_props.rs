@@ -1,6 +1,8 @@
 //! Property tests for the engine's low-level machinery: key packing,
-//! predicate compilation, and accumulator algebra.
+//! predicate compilation, accumulator algebra, and the chunk aggregation
+//! kernel.
 
+use olap_engine::aggregate::{accumulate_chunk, GroupLanes, GroupTable};
 use olap_engine::KeyLayout;
 use olap_model::{AggOp, CubeSchema, HierarchyBuilder, MeasureDef, MemberId, Predicate};
 use proptest::prelude::*;
@@ -110,5 +112,116 @@ proptest! {
             let rolled = hier.roll_member(0, 1, MemberId(leaf as u32)).unwrap();
             prop_assert_eq!(mask[leaf], pred.matches(rolled));
         }
+    }
+}
+
+/// One group-by component of a kernel case: the rolled-to level's
+/// cardinality and the roll-up map from fact codes to its members. Wide
+/// levels (up to 16 bits) keep four components within a machine word.
+fn kernel_component() -> impl Strategy<Value = (usize, Vec<u32>)> {
+    prop_oneof![1usize..6, 1usize..60_000]
+        .prop_flat_map(|card| (Just(card), proptest::collection::vec(0..card as u32, 1..24)))
+}
+
+fn agg_op() -> impl Strategy<Value = AggOp> {
+    (0usize..5).prop_map(|i| [AggOp::Sum, AggOp::Min, AggOp::Max, AggOp::Count, AggOp::Avg][i])
+}
+
+/// A kernel input: components, operators, per-component fact-code lanes,
+/// per-measure value lanes, an optional selection mask, the row at which
+/// the rows split into two chunks, and whether every component but the
+/// last rolls to one member (keys then differ only in high bits).
+type KernelCase = (
+    Vec<(usize, Vec<u32>)>,
+    Vec<AggOp>,
+    Vec<Vec<u32>>,
+    Vec<Vec<f64>>,
+    Option<Vec<bool>>,
+    usize,
+    bool,
+);
+
+fn kernel_case() -> impl Strategy<Value = KernelCase> {
+    (
+        proptest::collection::vec(kernel_component(), 1..5),
+        proptest::collection::vec(agg_op(), 1..4),
+        0usize..400,
+        any::<bool>(),
+    )
+        .prop_flat_map(|(comps, ops, rows, high_only)| {
+            let codes: Vec<_> = comps
+                .iter()
+                .map(|(_, roll)| proptest::collection::vec(0..roll.len() as u32, rows))
+                .collect();
+            let values =
+                proptest::collection::vec(proptest::collection::vec(any::<f64>(), rows), ops.len());
+            let mask = proptest::option::of(proptest::collection::vec(any::<bool>(), rows));
+            (Just(comps), Just(ops), codes, values, mask, 0..=rows, Just(high_only))
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The three-phase chunk kernel equals row-at-a-time
+    /// `GroupTable::update` bit for bit — same keys in the same first-seen
+    /// order, same accumulator bits — for every operator, with or without
+    /// a selection, when the rows arrive as two chunks into one table.
+    #[test]
+    fn chunk_kernel_equals_row_at_a_time_updates(
+        (mut comps, ops, codes, values, mask, split, high_only) in kernel_case(),
+    ) {
+        if high_only {
+            let last = comps.len() - 1;
+            for (_, roll) in &mut comps[..last] {
+                roll.fill(0);
+            }
+        }
+        let cards: Vec<usize> = comps.iter().map(|(card, _)| *card).collect();
+        let layout = KeyLayout::for_cardinalities(&cards);
+        prop_assert!(layout.fits_u64());
+        let rows = values[0].len();
+        let selected: Vec<u32> = match &mask {
+            Some(m) => (0..rows as u32).filter(|&r| m[r as usize]).collect(),
+            None => (0..rows as u32).collect(),
+        };
+
+        let mut expected: GroupTable<u64> = GroupTable::new(&ops);
+        for &row in &selected {
+            let row = row as usize;
+            let members: Vec<MemberId> = comps
+                .iter()
+                .zip(&codes)
+                .map(|((_, roll), lane)| MemberId(roll[lane[row] as usize]))
+                .collect();
+            let vals: Vec<f64> = values.iter().map(|lane| lane[row]).collect();
+            expected.update(layout.pack(&members), &vals);
+        }
+
+        let mut actual: GroupTable<u64> = GroupTable::new(&ops);
+        let mut lanes = GroupLanes::default();
+        for (lo, hi) in [(0, split), (split, rows)] {
+            let keys: Vec<(&[u32], &[u32])> = comps
+                .iter()
+                .zip(&codes)
+                .map(|((_, roll), lane)| (&lane[lo..hi], roll.as_slice()))
+                .collect();
+            let measures: Vec<&[f64]> = values.iter().map(|lane| &lane[lo..hi]).collect();
+            let local: Vec<u32> = selected
+                .iter()
+                .filter(|&&r| (lo..hi).contains(&(r as usize)))
+                .map(|&r| r - lo as u32)
+                .collect();
+            let selection = mask.as_ref().map(|_| local.as_slice());
+            accumulate_chunk(&mut actual, &mut lanes, &layout, hi - lo, selection, &keys, &measures);
+        }
+
+        let (expected_keys, expected_cols) = expected.finish();
+        let (actual_keys, actual_cols) = actual.finish();
+        prop_assert_eq!(actual_keys, expected_keys);
+        let bits = |cols: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            cols.iter().map(|c| c.iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        prop_assert_eq!(bits(&actual_cols), bits(&expected_cols));
     }
 }

@@ -685,4 +685,27 @@ fn wide_group_by_keys_fall_back_to_boxed_scan() {
         .get_pivot(&q, 0, olap_model::MemberId(1), &[olap_model::MemberId(6)], "m", &["b".into()])
         .unwrap_err();
     assert!(matches!(err, olap_engine::EngineError::Unsupported(_)));
+
+    // A sharded coordinator's own fact table is empty by design, so it
+    // refuses the wide get instead of answering it from that table.
+    let fact = engine.catalog().table("wide_fact").unwrap();
+    let scheme = olap_storage::ShardScheme::range("fk0", CARD as u32, 2);
+    let binding = engine.catalog().binding("WIDE").unwrap();
+    let shards: Vec<Arc<Catalog>> = scheme
+        .partition(&fact)
+        .unwrap()
+        .into_iter()
+        .map(|part| {
+            let shard = Arc::new(Catalog::new());
+            shard.register_table(part);
+            shard.register_binding("WIDE", binding.as_ref().clone());
+            shard
+        })
+        .collect();
+    let coordinator = Arc::new(Catalog::new());
+    coordinator.register_table(fact.take_rows(&[]));
+    coordinator.register_binding("WIDE", binding.as_ref().clone());
+    let set = Arc::new(olap_engine::ShardSet::local(scheme, shards).unwrap());
+    let err = Engine::new(coordinator).with_shards(set).get(&q).unwrap_err();
+    assert!(matches!(err, olap_engine::EngineError::Unsupported(_)));
 }
