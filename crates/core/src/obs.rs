@@ -42,10 +42,14 @@ use crate::plan::Strategy;
 // Histogram
 // ---------------------------------------------------------------------------
 
-/// Upper bounds (milliseconds, inclusive) of the latency histogram buckets;
-/// one implicit `+Inf` bucket follows.
-pub const LATENCY_BOUNDS_MS: [f64; 12] =
-    [1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0];
+/// Upper bounds (milliseconds, inclusive) of the latency histogram buckets,
+/// log-spaced 1-2-5 per decade from 10 µs (cache hits and view-answered
+/// queries finish well under a millisecond); one implicit `+Inf` bucket
+/// follows.
+pub const LATENCY_BOUNDS_MS: [f64; 18] = [
+    0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0,
+    2000.0, 5000.0,
+];
 
 /// Number of buckets including the `+Inf` overflow bucket.
 pub const LATENCY_BUCKETS: usize = LATENCY_BOUNDS_MS.len() + 1;
@@ -78,7 +82,9 @@ impl Histogram {
 
     /// Records one observation.
     pub fn observe(&self, elapsed: Duration) {
-        let ms = elapsed.as_secs_f64() * 1000.0;
+        // One correctly rounded division: a duration of exactly a bound
+        // lands in that bound's bucket.
+        let ms = elapsed.as_nanos() as f64 / 1e6;
         let idx =
             LATENCY_BOUNDS_MS.iter().position(|&b| ms <= b).unwrap_or(LATENCY_BOUNDS_MS.len());
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
@@ -619,18 +625,32 @@ mod tests {
         TraceSpan::new("get(c)", Duration::from_millis(3)).with_rows(4).with_scan(20, 1, 1)
     }
 
+    /// The bucket whose upper bound is `bound_ms`.
+    fn bucket_of(bound_ms: f64) -> usize {
+        LATENCY_BOUNDS_MS.iter().position(|&b| b == bound_ms).expect("a histogram bound")
+    }
+
     #[test]
     fn histogram_buckets_and_sum() {
         let h = Histogram::new();
-        h.observe(Duration::from_micros(500)); // <= 1ms bucket
+        h.observe(Duration::from_micros(500)); // <= 0.5ms bucket
         h.observe(Duration::from_millis(30)); // <= 50ms bucket
         h.observe(Duration::from_secs(60)); // +Inf bucket
         let s = h.snapshot();
         assert_eq!(s.count, 3);
-        assert_eq!(s.buckets[0], 1);
-        assert_eq!(s.buckets[5], 1);
+        assert_eq!(s.buckets[bucket_of(0.5)], 1);
+        assert_eq!(s.buckets[bucket_of(50.0)], 1);
         assert_eq!(s.buckets[LATENCY_BUCKETS - 1], 1);
         assert_eq!(s.sum_micros, 500 + 30_000 + 60_000_000);
+    }
+
+    #[test]
+    fn sub_millisecond_observations_resolve_below_a_tenth_of_a_millisecond() {
+        let h = Histogram::new();
+        h.observe(Duration::from_micros(50));
+        let s = h.snapshot();
+        assert_eq!(s.buckets[bucket_of(0.05)], 1, "{:?}", s.buckets);
+        assert_eq!(s.buckets[..bucket_of(0.1)].iter().sum::<u64>(), 1);
     }
 
     #[test]

@@ -319,7 +319,7 @@ proptest! {
                         "{}/{}: non-shard scan spans in a sharded run", name, strategy
                     );
                     prop_assert!(
-                        per_span.len() % shards == 0 && !per_span.is_empty(),
+                        per_span.len().is_multiple_of(shards) && !per_span.is_empty(),
                         "{}/{}: {} shard spans is not a whole fan-out of {}",
                         name, strategy, per_span.len(), shards
                     );

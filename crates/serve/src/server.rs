@@ -9,14 +9,16 @@
 //!   are bounded too;
 //! * each **reader** thread parses request lines and answers quick ops
 //!   (`ping`, `check`, `explain`, `stats`, `history`, `set_policy`,
-//!   `cancel`, `invalidate_cache`) inline. `run` requests pass admission
-//!   control and are enqueued for the executor pool, so the reader stays
-//!   responsive during long runs — that is what makes `cancel` (and
-//!   EOF-triggered cancellation on a dropped connection) work;
+//!   `cancel`, `invalidate_cache`) inline. Job ops (`run`, `batch`,
+//!   `append`, `subscribe`, `partial`) pass admission control and are
+//!   enqueued for the executor pool, so the reader stays responsive during
+//!   long runs — that is what makes `cancel` (and EOF-triggered
+//!   cancellation on a dropped connection) work;
 //! * a **fixed pool** of [`ServerConfig::workers`] executor threads pops
-//!   run jobs off the shared queue and drives the engine. Responses go
-//!   back through the connection's shared writer, one line at a time, so
-//!   executor responses interleave safely with the reader's own.
+//!   jobs off the shared queue and takes each through one lifecycle
+//!   ([`executor_loop`]). Responses go back through the connection's
+//!   shared writer, one line at a time, so executor responses interleave
+//!   safely with the reader's own.
 //!
 //! Shutdown sets a flag; the acceptor stops within one poll interval,
 //! readers notice at their next read timeout, and executors drain the
@@ -37,6 +39,7 @@ use assess_core::semantics::ResolvedBenchmark;
 use assess_core::{
     explain, stmt, AssessError, AssessStatement, AssessedCube, ExecutionPolicy, Strategy,
 };
+use assess_sql::SpannedStatement;
 use olap_engine::predicate::CompiledFilter;
 use olap_engine::{CancelToken, Engine, EngineError, ResourceGovernor, WorkerPool};
 use olap_storage::Column;
@@ -48,7 +51,7 @@ use crate::protocol::{self, n, s, BatchOptions, Op, PartialOptions, RunFormat, R
 use crate::session::{HistoryEntry, Session, SessionRegistry};
 use crate::shard;
 use crate::subscribe::{self, SubscriptionManager};
-use crate::tenant::{TenantDirectory, ANONYMOUS};
+use crate::tenant::{TenantDirectory, TenantId, ANONYMOUS};
 
 /// How often blocked reads and the acceptor wake up to check the
 /// shutdown flag and the idle clock.
@@ -131,35 +134,87 @@ type SharedWriter = Arc<Mutex<TcpStream>>;
 /// notification time).
 type SubChannel = (SharedWriter, Arc<Session>);
 
-/// What an admitted job executes: a single `run`, a `batch` group, a
-/// fact-batch `append`, a `subscribe` registration (which evaluates its
-/// statement once for the baseline), or a shard node's `partial`
-/// scan/aggregate stage on behalf of a scatter-gather coordinator.
-enum Payload {
-    Run(RunOptions),
-    Batch(BatchOptions),
-    Append { cube: String, rows: Value },
-    Subscribe { statement: String },
-    Partial(PartialOptions),
-}
-
-/// One admitted `run` or `batch`, queued for the executor pool. Dropping
-/// the job releases its admission permit.
+/// One admitted job, queued for the executor pool: a `run`, a `batch`
+/// group, a fact-batch `append`, a `subscribe` registration (which
+/// evaluates its statement once for the baseline), or a shard node's
+/// `partial` scan/aggregate stage on behalf of a scatter-gather
+/// coordinator. Dropping the job releases its admission permit.
 struct Job {
     session: Arc<Session>,
     request_id: u64,
-    payload: Payload,
+    /// One of the five job ops above; the reader answers every other op.
+    payload: Op,
     token: CancelToken,
     writer: SharedWriter,
     permit: Permit,
 }
 
-#[derive(Default)]
-struct RunCounters {
-    executed: AtomicU64,
-    cache_hits: AtomicU64,
-    failed: AtomicU64,
-    cancelled: AtomicU64,
+impl Job {
+    /// The statement this job's history entry names.
+    fn label(&self) -> String {
+        match &self.payload {
+            Op::Run(RunOptions { statement, .. }) | Op::Subscribe { statement } => {
+                statement.clone()
+            }
+            Op::Batch(opts) => format!("batch({} statements)", opts.statements.len()),
+            Op::Append { cube, .. } => format!("append({cube})"),
+            other => other.name().to_string(),
+        }
+    }
+}
+
+/// Statements by how they ended: one job's share, or the server's totals
+/// since start.
+#[derive(Default, Clone, Copy)]
+struct Tally {
+    executed: u64,
+    cache_hits: u64,
+    failed: u64,
+    cancelled: u64,
+}
+
+impl Tally {
+    fn add(&mut self, other: &Tally) {
+        self.executed += other.executed;
+        self.cache_hits += other.cache_hits;
+        self.failed += other.failed;
+        self.cancelled += other.cancelled;
+    }
+
+    fn to_json(self) -> Value {
+        protocol::obj(vec![
+            ("executed", n(self.executed)),
+            ("cache_hits", n(self.cache_hits)),
+            ("failed", n(self.failed)),
+            ("cancelled", n(self.cancelled)),
+        ])
+    }
+
+    /// Counts one statement that failed with `e`.
+    fn count_error(&mut self, e: &AssessError) {
+        match e {
+            AssessError::Cancelled => self.cancelled += 1,
+            _ => self.failed += 1,
+        }
+    }
+}
+
+/// What a job's execute step hands back to the lifecycle in
+/// [`executor_loop`].
+struct Executed {
+    response: Value,
+    tally: Tally,
+    /// `(statement, outcome, cells)` of the job's history entry; `None`
+    /// records none.
+    history: Option<(String, String, usize)>,
+}
+
+impl Executed {
+    /// A refusal that counts and records nothing.
+    fn refused(id: Option<u64>, code: &str, message: &str) -> Self {
+        let response = protocol::error_response(id, code, message);
+        Executed { response, tally: Tally::default(), history: None }
+    }
 }
 
 struct Shared {
@@ -173,7 +228,8 @@ struct Shared {
     admission: Arc<Admission>,
     cache: ResultCache<CachedResult>,
     ops: Mutex<BTreeMap<&'static str, u64>>,
-    runs: RunCounters,
+    /// Every job's tally, added once as the job completes.
+    runs: Mutex<Tally>,
     started: Instant,
     shutdown: AtomicBool,
     /// Admitted runs waiting for an executor, drained fairly across
@@ -241,7 +297,7 @@ pub fn serve(engine: Engine, config: ServerConfig) -> std::io::Result<ServerHand
         ),
         cache: ResultCache::new(config.cache_capacity),
         ops: Mutex::new(BTreeMap::new()),
-        runs: RunCounters::default(),
+        runs: Mutex::new(Tally::default()),
         started: Instant::now(),
         shutdown: AtomicBool::new(false),
         queue: FairQueue::new(config.tenants.weights()),
@@ -595,30 +651,20 @@ fn handle_line(shared: &Arc<Shared>, session: &Arc<Session>, writer: &SharedWrit
             let removed = shared.subs.unregister(session.id(), target);
             protocol::ok_response(id, vec![("unsubscribed", Value::Bool(removed))])
         }
-        Op::Run(opts) => {
-            enqueue_job(shared, session, writer, id, Payload::Run(opts));
-            return; // the executor writes the response
-        }
-        Op::Batch(opts) => {
-            enqueue_job(shared, session, writer, id, Payload::Batch(opts));
-            return; // the executor writes the response
-        }
-        Op::Append { cube, rows } => {
-            // Appends ride the same admission/fair-queue path as runs:
-            // ingest competes with queries under the tenant's quota.
-            enqueue_job(shared, session, writer, id, Payload::Append { cube, rows });
-            return; // the executor writes the response
-        }
-        Op::Subscribe { statement } => {
-            enqueue_job(shared, session, writer, id, Payload::Subscribe { statement });
-            return; // the executor writes the response
-        }
-        Op::Partial(opts) => {
-            // Partials are real scans: they queue behind the same
-            // admission control as runs, so a frontend fanning out cannot
-            // starve a shard node's direct clients.
-            enqueue_job(shared, session, writer, id, Payload::Partial(opts));
-            return; // the executor writes the response
+        job @ (Op::Run(_)
+        | Op::Batch(_)
+        | Op::Append { .. }
+        | Op::Subscribe { .. }
+        | Op::Partial(_)) => {
+            // Every job, ingest and shard partials included, rides the same
+            // admission and fair queue: it competes under the tenant's
+            // quota, so neither ingest nor a fanning-out coordinator can
+            // starve a server's direct clients. The executor writes the
+            // response.
+            match enqueue_job(shared, session, writer, id, job) {
+                Ok(()) => return,
+                Err(refusal) => refusal,
+            }
         }
         Op::Rows { table } => {
             // Quick op: a row-count probe for coordinator cost models.
@@ -640,52 +686,32 @@ fn handle_line(shared: &Arc<Shared>, session: &Arc<Session>, writer: &SharedWrit
     write_line(writer, &response);
 }
 
+/// Admits a job and queues it for the executor pool; `Err` carries the
+/// refusal to answer instead.
 fn enqueue_job(
     shared: &Arc<Shared>,
     session: &Arc<Session>,
     writer: &SharedWriter,
     id: Option<u64>,
-    payload: Payload,
-) {
+    payload: Op,
+) -> Result<(), Value> {
     let Some(request_id) = id else {
         // The protocol layer already rejects id-less runs; belt and braces.
-        write_line(
-            writer,
-            &protocol::error_response(None, "bad_request", "`run` requires an `id`"),
-        );
-        return;
+        return Err(protocol::error_response(None, "bad_request", "`run` requires an `id`"));
     };
     let token = CancelToken::new();
     if !session.register_run(request_id, token.clone()) {
-        write_line(
-            writer,
-            &protocol::error_response(
-                id,
-                "duplicate_id",
-                "a run with this id is already in flight",
-            ),
-        );
-        return;
+        let message = "a run with this id is already in flight";
+        return Err(protocol::error_response(id, "duplicate_id", message));
     }
     let tenant = session.tenant();
-    let permit = match shared.admission.try_admit(tenant) {
-        Ok(permit) => permit,
-        Err(refusal) => {
-            // Structured refusal with a backoff hint — never a dropped
-            // request, never unbounded queueing.
-            session.finish_run(request_id);
-            write_line(
-                writer,
-                &protocol::overload_response(
-                    id,
-                    refusal.code(),
-                    &refusal.message(),
-                    refusal.retry_after_ms(),
-                ),
-            );
-            return;
-        }
-    };
+    let permit = shared.admission.try_admit(tenant).map_err(|refusal| {
+        // Structured refusal with a backoff hint — never a dropped
+        // request, never unbounded queueing.
+        session.finish_run(request_id);
+        let message = refusal.message();
+        protocol::overload_response(id, refusal.code(), &message, refusal.retry_after_ms())
+    })?;
     let job = Job {
         session: session.clone(),
         request_id,
@@ -695,22 +721,43 @@ fn enqueue_job(
         permit,
     };
     shared.queue.push(tenant, job);
+    Ok(())
 }
 
 // --------------------------------------------------------------- executors
 
+/// The admitted-job lifecycle, one pass per job: dequeue and mark running;
+/// answer a job cancelled while queued without executing it, else run the
+/// payload's execute step; add its tally to the server's totals; record
+/// its history entry stamped with the elapsed time; observe the tenant's
+/// latency; finish the run, release the permit and write the response.
 fn executor_loop(shared: Arc<Shared>) {
     while let Some(mut job) = shared.pop_job() {
         job.permit.mark_running();
         shared.running.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
-        let response = match &job.payload {
-            Payload::Run(opts) => execute_run(&shared, &job, opts),
-            Payload::Batch(opts) => execute_batch(&shared, &job, opts),
-            Payload::Append { cube, rows } => execute_append(&shared, &job, cube, rows),
-            Payload::Subscribe { statement } => execute_subscribe(&shared, &job, statement),
-            Payload::Partial(opts) => execute_partial(&shared, &job, opts),
+        let id = Some(job.request_id);
+        let done = if job.token.is_cancelled() {
+            Executed {
+                response: protocol::error_response(id, "cancelled", "cancelled while queued"),
+                tally: Tally { cancelled: 1, ..Tally::default() },
+                history: Some((job.label(), "cancelled".to_string(), 0)),
+            }
+        } else {
+            match &job.payload {
+                Op::Run(opts) => execute_run(&shared, &job, opts, t0),
+                Op::Batch(opts) => execute_batch(&shared, &job, opts, t0),
+                Op::Append { cube, rows } => execute_append(&shared, &job, cube, rows, t0),
+                Op::Subscribe { statement } => execute_subscribe(&shared, &job, statement, t0),
+                Op::Partial(opts) => execute_partial(&shared, &job, opts, t0),
+                other => unreachable!("`{}` is answered inline, never queued", other.name()),
+            }
         };
+        lock(&shared.runs).add(&done.tally);
+        if let Some((statement, outcome, cells)) = done.history {
+            let elapsed_ms = ms(t0.elapsed());
+            job.session.record(HistoryEntry { statement, outcome, elapsed_ms, cells });
+        }
         let counters = shared.admission.counters(job.permit.tenant());
         counters.completed.fetch_add(1, Ordering::Relaxed);
         counters.latency.observe(t0.elapsed());
@@ -720,59 +767,115 @@ fn executor_loop(shared: Arc<Shared>) {
         // client that has seen this run finish must be able to admit a new
         // one immediately.
         drop(job);
-        write_line(&writer, &response);
+        write_line(&writer, &done.response);
         shared.running.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
-fn execute_run(shared: &Shared, job: &Job, opts: &RunOptions) -> Value {
-    let id = Some(job.request_id);
-    let t0 = Instant::now();
-    let record = |outcome: &str, elapsed_ms: u64, cells: usize| {
-        job.session.record(HistoryEntry {
-            statement: opts.statement.clone(),
-            outcome: outcome.to_string(),
-            elapsed_ms,
-            cells,
-        });
-    };
+/// A statement refused before execution: its wire code, message and
+/// diagnostics.
+struct Rejected {
+    code: &'static str,
+    message: String,
+    diagnostics: Vec<Diagnostic>,
+}
 
-    if job.token.is_cancelled() {
-        shared.runs.cancelled.fetch_add(1, Ordering::Relaxed);
-        record("cancelled", 0, 0);
-        return protocol::error_response(id, "cancelled", "cancelled while queued");
+impl Rejected {
+    fn response(&self, id: Option<u64>, source: &str) -> Value {
+        let Rejected { code, message, diagnostics } = self;
+        protocol::error_with_diagnostics(id, code, message, diagnostics, Some(source))
     }
+}
 
-    // Blank out `--` comments before parsing; the stripping is length
-    // preserving, so spans still index into the client's original text.
-    let spanned = match assess_sql::parse_spanned(&stmt::strip_comments(&opts.statement)) {
-        Ok(spanned) => spanned,
-        Err(e) => {
-            shared.runs.failed.fetch_add(1, Ordering::Relaxed);
-            record("parse_error", ms(t0.elapsed()), 0);
-            let diag = Diagnostic::new(DiagCode::E001, e.span, e.message.clone());
-            return protocol::error_with_diagnostics(
-                id,
-                "parse_error",
-                &e.to_string(),
-                &[diag],
-                Some(&opts.statement),
-            );
-        }
-    };
+/// Parses a client statement. `--` comments are blanked first; the
+/// stripping is length preserving, so spans still index into the client's
+/// original text.
+fn parse(text: &str) -> Result<SpannedStatement, Rejected> {
+    assess_sql::parse_spanned(&stmt::strip_comments(text)).map_err(|e| Rejected {
+        code: "parse_error",
+        message: e.to_string(),
+        diagnostics: vec![Diagnostic::new(DiagCode::E001, e.span, e.message.clone())],
+    })
+}
+
+/// Parses and statically checks a statement; `Ok` carries its warnings.
+fn prepare(shared: &Shared, text: &str) -> Result<(SpannedStatement, Vec<Diagnostic>), Rejected> {
+    let spanned = parse(text)?;
     let diagnostics = shared.runner.check_spanned(&spanned.statement, Some(&spanned.spans));
     if diagnostics.iter().any(Diagnostic::is_error) {
-        shared.runs.failed.fetch_add(1, Ordering::Relaxed);
-        record("check_failed", ms(t0.elapsed()), 0);
-        return protocol::error_with_diagnostics(
-            id,
-            "check_failed",
-            "static analysis reported errors",
-            &diagnostics,
-            Some(&opts.statement),
-        );
+        return Err(Rejected {
+            code: "check_failed",
+            message: "static analysis reported errors".to_string(),
+            diagnostics,
+        });
     }
-    let warnings = diagnostics; // errors returned above; only warnings left
+    Ok((spanned, diagnostics))
+}
+
+/// A runner under `session`'s effective policy as `tenant`: the server
+/// ceiling, the tenant ceiling and the session's preferences clamped
+/// together, with `token` attached.
+fn job_runner(
+    shared: &Shared,
+    tenant: TenantId,
+    session: &Session,
+    token: CancelToken,
+) -> AssessRunner {
+    let tenant_ceiling = &shared.admission.directory().spec(tenant).ceiling;
+    let policy =
+        admission::derive_policy(&shared.config.ceiling, tenant_ceiling, &session.policy(), token);
+    AssessRunner::new(shared.engine.clone()).with_policy(policy)
+}
+
+/// The wire code of a failed execution.
+fn error_code(e: &AssessError) -> &'static str {
+    match e {
+        AssessError::Cancelled => "cancelled",
+        AssessError::BudgetExceeded { .. } => "budget_exceeded",
+        // A shard died or stalled mid-fan-out: the run is aborted whole
+        // (never a torn cube) with a code the client can retry on once the
+        // shard returns.
+        AssessError::Engine(EngineError::ShardUnavailable { .. }) => "shard_unavailable",
+        _ => "execution_error",
+    }
+}
+
+/// Renders `cube` into `fields` as `csv`, or as `rows` capped at `limit`
+/// (default: the server's row limit) plus `truncated`.
+fn push_cube(
+    fields: &mut Vec<(&'static str, Value)>,
+    shared: &Shared,
+    cube: &AssessedCube,
+    format: RunFormat,
+    limit: Option<usize>,
+) {
+    match format {
+        RunFormat::Csv => fields.push(("csv", s(cube.to_csv()))),
+        RunFormat::Cells => {
+            let limit = limit.unwrap_or(shared.config.default_row_limit);
+            let rows = cube.cells().iter().take(limit).map(serde::Serialize::to_value).collect();
+            fields.push(("rows", Value::Array(rows)));
+            fields.push(("truncated", Value::Bool(cube.len() > limit)));
+        }
+    }
+}
+
+fn execute_run(shared: &Shared, job: &Job, opts: &RunOptions, t0: Instant) -> Executed {
+    let id = Some(job.request_id);
+    let mut tally = Tally::default();
+    let done = |response: Value, tally: Tally, outcome: &str, cells: usize| Executed {
+        response,
+        tally,
+        history: Some((opts.statement.clone(), outcome.to_string(), cells)),
+    };
+
+    let (spanned, warnings) = match prepare(shared, &opts.statement) {
+        Ok(prepared) => prepared,
+        Err(rejected) => {
+            tally.failed += 1;
+            return done(rejected.response(id, &opts.statement), tally, rejected.code, 0);
+        }
+    };
 
     // Soft shedding: under pressure the run still executes, but trace
     // capture and cache *inserts* are disabled (lookups stay on — a hit is
@@ -780,23 +883,17 @@ fn execute_run(shared: &Shared, job: &Job, opts: &RunOptions) -> Value {
     let shed = job.permit.shed();
     let want_trace = opts.trace && shed == ShedLevel::Full;
 
-    let tenant_ceiling = &shared.admission.directory().spec(job.permit.tenant()).ceiling;
-    let policy = admission::derive_policy(
-        &shared.config.ceiling,
-        tenant_ceiling,
-        &job.session.policy(),
-        job.token.clone(),
+    let runner = job_runner(shared, job.permit.tenant(), &job.session, job.token.clone());
+    let key = cache_key(
+        &stmt::normalize(&opts.statement),
+        &policy_fingerprint(runner.policy(), opts.strategy),
     );
-    let key =
-        cache_key(&stmt::normalize(&opts.statement), &policy_fingerprint(&policy, opts.strategy));
     let catalog = shared.engine.catalog().clone();
     let version_before = catalog.version();
 
     if opts.cache {
         if let Some(hit) = shared.cache.lookup(&key, version_before) {
-            shared.runs.cache_hits.fetch_add(1, Ordering::Relaxed);
-            let elapsed_ms = ms(t0.elapsed());
-            record("cached", elapsed_ms, hit.cube.len());
+            tally.cache_hits += 1;
             // A hit never scans: its trace is a single `cache_hit` leaf
             // (zero scan spans), with the original strategy for context.
             let trace = want_trace.then(|| TraceTree {
@@ -806,12 +903,12 @@ fn execute_run(shared: &Shared, job: &Job, opts: &RunOptions) -> Value {
                     TraceSpan::new("cache_hit", t0.elapsed()).with_rows(hit.cube.len() as u64)
                 ],
             });
+            let elapsed_ms = ms(t0.elapsed());
             let response = run_response(id, &hit, true, elapsed_ms, &warnings, opts, shared, trace);
-            return mark_shed(response, shed);
+            return done(mark_shed(response, shed), tally, "cached", hit.cube.len());
         }
     }
 
-    let runner = AssessRunner::new(shared.engine.clone()).with_policy(policy);
     let outcome = match (opts.strategy, want_trace) {
         (Some(strategy), false) => {
             runner.run(&spanned.statement, strategy).map(|(cube, report)| (cube, report, None))
@@ -829,8 +926,8 @@ fn execute_run(shared: &Shared, job: &Job, opts: &RunOptions) -> Value {
     match outcome {
         Ok((cube, report, trace)) => {
             let elapsed_ms = ms(t0.elapsed());
-            shared.runs.executed.fetch_add(1, Ordering::Relaxed);
-            record("ok", elapsed_ms, cube.len());
+            tally.executed += 1;
+            let cells = cube.len();
             let result = CachedResult {
                 cube,
                 strategy: report.strategy,
@@ -853,40 +950,20 @@ fn execute_run(shared: &Shared, job: &Job, opts: &RunOptions) -> Value {
                     None => shared.cache.insert(key, result, version_before),
                 }
             }
-            mark_shed(response, shed)
+            done(mark_shed(response, shed), tally, "ok", cells)
         }
         Err(e) => {
-            let elapsed_ms = ms(t0.elapsed());
-            let code = match &e {
-                AssessError::Cancelled => {
-                    shared.runs.cancelled.fetch_add(1, Ordering::Relaxed);
-                    "cancelled"
-                }
-                AssessError::BudgetExceeded { .. } => {
-                    shared.runs.failed.fetch_add(1, Ordering::Relaxed);
-                    "budget_exceeded"
-                }
-                AssessError::Engine(EngineError::ShardUnavailable { .. }) => {
-                    // A shard died or stalled mid-fan-out: the run is
-                    // aborted whole (never a torn cube) with a code the
-                    // client can retry on once the shard returns.
-                    shared.runs.failed.fetch_add(1, Ordering::Relaxed);
-                    "shard_unavailable"
-                }
-                _ => {
-                    shared.runs.failed.fetch_add(1, Ordering::Relaxed);
-                    "execution_error"
-                }
-            };
-            record(code, elapsed_ms, 0);
+            tally.count_error(&e);
+            let code = error_code(&e);
             let diag = Diagnostic::from_error(&e, spanned.spans.span);
-            protocol::error_with_diagnostics(
+            let response = protocol::error_with_diagnostics(
                 id,
                 code,
                 &e.to_string(),
                 &[diag],
                 Some(&opts.statement),
-            )
+            );
+            done(response, tally, code, 0)
         }
     }
 }
@@ -897,13 +974,7 @@ fn execute_run(shared: &Shared, job: &Job, opts: &RunOptions) -> Value {
 /// `results` array. Batches bypass the result cache in both directions —
 /// the point of a batch is the shared scan, and mixed hit/miss groups
 /// would break its exactly-once accounting.
-fn execute_batch(shared: &Shared, job: &Job, opts: &BatchOptions) -> Value {
-    let id = Some(job.request_id);
-    let t0 = Instant::now();
-    if job.token.is_cancelled() {
-        shared.runs.cancelled.fetch_add(1, Ordering::Relaxed);
-        return protocol::error_response(id, "cancelled", "cancelled while queued");
-    }
+fn execute_batch(shared: &Shared, job: &Job, opts: &BatchOptions, t0: Instant) -> Executed {
     let shed = job.permit.shed();
     let want_trace = opts.trace && shed == ShedLevel::Full;
 
@@ -916,63 +987,34 @@ fn execute_batch(shared: &Shared, job: &Job, opts: &BatchOptions) -> Value {
     let mut statements: Vec<AssessStatement> = Vec::new();
     let mut slots: Vec<Slot> = Vec::with_capacity(opts.statements.len());
     for text in &opts.statements {
-        match assess_sql::parse_spanned(&stmt::strip_comments(text)) {
-            Err(e) => {
-                let diag = Diagnostic::new(DiagCode::E001, e.span, e.message.clone());
-                slots.push(Slot::Failed(statement_error(
-                    "parse_error",
-                    &e.to_string(),
-                    &[diag],
-                    text,
-                )));
+        slots.push(match prepare(shared, text) {
+            Ok((spanned, warnings)) => {
+                statements.push(spanned.statement);
+                Slot::Ready { index: statements.len() - 1, warnings, span: spanned.spans.span }
             }
-            Ok(spanned) => {
-                let diagnostics =
-                    shared.runner.check_spanned(&spanned.statement, Some(&spanned.spans));
-                if diagnostics.iter().any(Diagnostic::is_error) {
-                    slots.push(Slot::Failed(statement_error(
-                        "check_failed",
-                        "static analysis reported errors",
-                        &diagnostics,
-                        text,
-                    )));
-                } else {
-                    slots.push(Slot::Ready {
-                        index: statements.len(),
-                        warnings: diagnostics,
-                        span: spanned.spans.span,
-                    });
-                    statements.push(spanned.statement);
-                }
-            }
-        }
+            Err(r) => Slot::Failed(statement_error(r.code, &r.message, &r.diagnostics, text)),
+        });
     }
 
-    let tenant_ceiling = &shared.admission.directory().spec(job.permit.tenant()).ceiling;
-    let policy = admission::derive_policy(
-        &shared.config.ceiling,
-        tenant_ceiling,
-        &job.session.policy(),
-        job.token.clone(),
-    );
-    let runner = AssessRunner::new(shared.engine.clone()).with_policy(policy);
+    let runner = job_runner(shared, job.permit.tenant(), &job.session, job.token.clone());
     let mut outcome = runner.run_batch(&statements, want_trace);
     let mut items: Vec<Option<Result<assess_core::BatchItem, AssessError>>> =
         outcome.items.drain(..).map(Some).collect();
 
+    let mut tally = Tally::default();
     let mut results: Vec<Value> = Vec::with_capacity(slots.len());
     let mut ok_count = 0usize;
     let mut total_cells = 0usize;
     for (slot, text) in slots.into_iter().zip(&opts.statements) {
         match slot {
             Slot::Failed(value) => {
-                shared.runs.failed.fetch_add(1, Ordering::Relaxed);
+                tally.failed += 1;
                 results.push(value);
             }
             Slot::Ready { index, warnings, span } => {
                 match items.get_mut(index).and_then(Option::take) {
                     Some(Ok(item)) => {
-                        shared.runs.executed.fetch_add(1, Ordering::Relaxed);
+                        tally.executed += 1;
                         ok_count += 1;
                         total_cells += item.cube.len();
                         let mut fields = vec![
@@ -981,21 +1023,7 @@ fn execute_batch(shared: &Shared, job: &Job, opts: &BatchOptions) -> Value {
                             ("cells", n(item.cube.len() as u64)),
                             ("rows_scanned", n(item.report.rows_scanned as u64)),
                         ];
-                        match opts.format {
-                            RunFormat::Csv => fields.push(("csv", s(item.cube.to_csv()))),
-                            RunFormat::Cells => {
-                                let limit = opts.limit.unwrap_or(shared.config.default_row_limit);
-                                let rows: Vec<Value> = item
-                                    .cube
-                                    .cells()
-                                    .iter()
-                                    .take(limit)
-                                    .map(serde::Serialize::to_value)
-                                    .collect();
-                                fields.push(("rows", Value::Array(rows)));
-                                fields.push(("truncated", Value::Bool(item.cube.len() > limit)));
-                            }
-                        }
+                        push_cube(&mut fields, shared, &item.cube, opts.format, opts.limit);
                         if let Some(tree) = item.trace {
                             fields.push(("trace", tree.to_json()));
                         }
@@ -1008,29 +1036,12 @@ fn execute_batch(shared: &Shared, job: &Job, opts: &BatchOptions) -> Value {
                         results.push(protocol::obj(fields));
                     }
                     Some(Err(e)) => {
-                        let code = match &e {
-                            AssessError::Cancelled => {
-                                shared.runs.cancelled.fetch_add(1, Ordering::Relaxed);
-                                "cancelled"
-                            }
-                            AssessError::BudgetExceeded { .. } => {
-                                shared.runs.failed.fetch_add(1, Ordering::Relaxed);
-                                "budget_exceeded"
-                            }
-                            AssessError::Engine(EngineError::ShardUnavailable { .. }) => {
-                                shared.runs.failed.fetch_add(1, Ordering::Relaxed);
-                                "shard_unavailable"
-                            }
-                            _ => {
-                                shared.runs.failed.fetch_add(1, Ordering::Relaxed);
-                                "execution_error"
-                            }
-                        };
-                        let diag = Diagnostic::from_error(&e, span);
-                        results.push(statement_error(code, &e.to_string(), &[diag], text));
+                        tally.count_error(&e);
+                        let (diag, message) = (Diagnostic::from_error(&e, span), e.to_string());
+                        results.push(statement_error(error_code(&e), &message, &[diag], text));
                     }
                     None => {
-                        shared.runs.failed.fetch_add(1, Ordering::Relaxed);
+                        tally.failed += 1;
                         results.push(statement_error(
                             "internal",
                             "missing batch result",
@@ -1055,22 +1066,11 @@ fn execute_batch(shared: &Shared, job: &Job, opts: &BatchOptions) -> Value {
             ])
         })
         .collect();
-    let elapsed_ms = ms(t0.elapsed());
-    job.session.record(HistoryEntry {
-        statement: format!("batch({} statements)", opts.statements.len()),
-        outcome: if ok_count == opts.statements.len() {
-            "ok".to_string()
-        } else {
-            format!("{ok_count}/{} ok", opts.statements.len())
-        },
-        elapsed_ms,
-        cells: total_cells,
-    });
     let mut fields = vec![
         ("batch", Value::Bool(true)),
         ("count", n(opts.statements.len() as u64)),
         ("succeeded", n(ok_count as u64)),
-        ("elapsed_ms", n(elapsed_ms)),
+        ("elapsed_ms", n(ms(t0.elapsed()))),
         ("shared_scans", Value::Array(shared_scans)),
         ("results", Value::Array(results)),
     ];
@@ -1085,7 +1085,16 @@ fn execute_batch(shared: &Shared, job: &Job, opts: &BatchOptions) -> Value {
         };
         fields.push(("trace", tree.to_json()));
     }
-    mark_shed(protocol::ok_response(id, fields), shed)
+    let outcome = if ok_count == opts.statements.len() {
+        "ok".to_string()
+    } else {
+        format!("{ok_count}/{} ok", opts.statements.len())
+    };
+    Executed {
+        response: mark_shed(protocol::ok_response(Some(job.request_id), fields), shed),
+        tally,
+        history: Some((job.label(), outcome, total_cells)),
+    }
 }
 
 /// A per-statement failure object inside a batch `results` array.
@@ -1106,16 +1115,11 @@ fn statement_error(code: &str, message: &str, diagnostics: &[Diagnostic], source
 /// raw accumulator state. Engine failures travel with their structured
 /// fields so the coordinator reconstructs the exact error
 /// ([`shard::engine_error_response`]).
-fn execute_partial(shared: &Shared, job: &Job, opts: &PartialOptions) -> Value {
+fn execute_partial(shared: &Shared, job: &Job, opts: &PartialOptions, t0: Instant) -> Executed {
     let id = Some(job.request_id);
-    let t0 = Instant::now();
-    if job.token.is_cancelled() {
-        shared.runs.cancelled.fetch_add(1, Ordering::Relaxed);
-        return protocol::error_response(id, "cancelled", "cancelled while queued");
-    }
     let query = match shard::decode_query(&opts.query) {
         Ok(query) => query,
-        Err(message) => return protocol::error_response(id, "bad_request", &message),
+        Err(message) => return Executed::refused(id, "bad_request", &message),
     };
 
     // Min-wins between the coordinator's remaining budget and this
@@ -1124,50 +1128,32 @@ fn execute_partial(shared: &Shared, job: &Job, opts: &PartialOptions) -> Value {
     let ceiling = &shared.config.ceiling;
     let mut governor = ResourceGovernor::unlimited().with_cancel_token(job.token.clone());
     let forwarded = opts.deadline_ms.map(Duration::from_millis);
-    if let Some(deadline) = match (forwarded, ceiling.deadline) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    } {
+    if let Some(deadline) = forwarded.into_iter().chain(ceiling.deadline).min() {
         governor = governor.with_timeout(deadline);
     }
-    if let Some(max_rows) = match (opts.max_rows, ceiling.max_rows_scanned) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    } {
+    if let Some(max_rows) = opts.max_rows.into_iter().chain(ceiling.max_rows_scanned).min() {
         governor = governor.with_max_rows_scanned(max_rows);
     }
 
     let engine = shared.engine.clone().with_governor(Arc::new(governor));
-    match engine.get_partial(&query) {
+    let mut tally = Tally::default();
+    let (response, outcome, cells) = match engine.get_partial(&query) {
         Ok(partial) => {
-            shared.runs.executed.fetch_add(1, Ordering::Relaxed);
-            let elapsed_ms = ms(t0.elapsed());
-            job.session.record(HistoryEntry {
-                statement: format!("partial({})", query.cube),
-                outcome: "ok".to_string(),
-                elapsed_ms,
-                cells: partial.keys.len(),
-            });
+            tally.executed += 1;
             let mut fields = shard::partial_fields(&partial);
-            fields.push(("elapsed_ms", n(elapsed_ms)));
-            protocol::ok_response(id, fields)
+            fields.push(("elapsed_ms", n(ms(t0.elapsed()))));
+            (protocol::ok_response(id, fields), "ok", partial.keys.len())
         }
         Err(e) => {
-            if matches!(e, EngineError::Cancelled) {
-                shared.runs.cancelled.fetch_add(1, Ordering::Relaxed);
-            } else {
-                shared.runs.failed.fetch_add(1, Ordering::Relaxed);
+            match e {
+                EngineError::Cancelled => tally.cancelled += 1,
+                _ => tally.failed += 1,
             }
-            let elapsed_ms = ms(t0.elapsed());
-            job.session.record(HistoryEntry {
-                statement: format!("partial({})", query.cube),
-                outcome: "failed".to_string(),
-                elapsed_ms,
-                cells: 0,
-            });
-            shard::engine_error_response(id, &e)
+            (shard::engine_error_response(id, &e), "failed", 0)
         }
-    }
+    };
+    let history = Some((format!("partial({})", query.cube), outcome.to_string(), cells));
+    Executed { response, tally, history }
 }
 
 // ----------------------------------------------------- ingest & subscribe
@@ -1218,44 +1204,34 @@ fn parse_append_rows(table: &olap_storage::Table, rows: &Value) -> Result<Vec<Co
 /// maintenance is exactly-once and frames push in commit order), patch or
 /// evict affected cache entries by delta scope, then re-evaluate every
 /// live subscription and push its diff frame.
-fn execute_append(shared: &Shared, job: &Job, cube: &str, rows: &Value) -> Value {
+fn execute_append(shared: &Shared, job: &Job, cube: &str, rows: &Value, t0: Instant) -> Executed {
     let id = Some(job.request_id);
-    let t0 = Instant::now();
-    if job.token.is_cancelled() {
-        shared.runs.cancelled.fetch_add(1, Ordering::Relaxed);
-        return protocol::error_response(id, "cancelled", "cancelled while queued");
-    }
     let catalog = shared.engine.catalog().clone();
     let binding = match catalog.binding(cube) {
         Ok(binding) => binding,
-        Err(e) => return protocol::error_response(id, "bad_request", &e.to_string()),
+        Err(e) => return Executed::refused(id, "bad_request", &e.to_string()),
     };
     let table = match catalog.table(binding.fact_table()) {
         Ok(table) => table,
-        Err(e) => return protocol::error_response(id, "append_failed", &e.to_string()),
+        Err(e) => return Executed::refused(id, "append_failed", &e.to_string()),
     };
     let batch = match parse_append_rows(&table, rows) {
         Ok(batch) => batch,
-        Err(message) => return protocol::error_response(id, "bad_request", &message),
+        Err(message) => return Executed::refused(id, "bad_request", &message),
     };
 
     let guard = lock(&shared.append_lock);
     let outcome = match shared.engine.append(cube, &batch) {
         Ok(outcome) => outcome,
-        Err(e) => return protocol::error_response(id, "append_failed", &e.to_string()),
+        Err(e) => return Executed::refused(id, "append_failed", &e.to_string()),
     };
     let (patched, evicted) = shared.cache.apply_delta(&outcome.delta);
-    let (notified, lagged) = notify_subscriptions(shared, outcome.version());
+    // The subscriptions' re-evaluations count toward this job's tally.
+    let mut tally = Tally::default();
+    let (notified, lagged) = notify_subscriptions(shared, outcome.version(), &mut tally);
     drop(guard);
 
-    let elapsed_ms = ms(t0.elapsed());
-    job.session.record(HistoryEntry {
-        statement: format!("append({cube}, {} rows)", outcome.appended()),
-        outcome: "ok".to_string(),
-        elapsed_ms,
-        cells: 0,
-    });
-    protocol::ok_response(
+    let response = protocol::ok_response(
         id,
         vec![
             ("appended", n(outcome.appended() as u64)),
@@ -1270,23 +1246,26 @@ fn execute_append(shared: &Shared, job: &Job, cube: &str, rows: &Value) -> Value
             ("cache_evicted", n(evicted as u64)),
             ("subscriptions_notified", n(notified)),
             ("subscriptions_lagged", n(lagged)),
-            ("elapsed_ms", n(elapsed_ms)),
+            ("elapsed_ms", n(ms(t0.elapsed()))),
         ],
-    )
+    );
+    let statement = format!("append({cube}, {} rows)", outcome.appended());
+    Executed { response, tally, history: Some((statement, "ok".to_string(), 0)) }
 }
 
 /// Re-evaluates every live subscription after a committed append and
 /// pushes one frame each. Every re-evaluation passes tenant admission: a
 /// refusal pushes a `lagged` event instead (the next successful frame is a
 /// full re-send), and soft shedding degrades the frame to a full re-send
-/// rather than computing the diff. Returns `(notified, lagged)` counts.
-fn notify_subscriptions(shared: &Shared, version: u64) -> (u64, u64) {
+/// rather than computing the diff. Counts the re-evaluations into `tally`
+/// and returns `(notified, lagged)`.
+fn notify_subscriptions(shared: &Shared, version: u64, tally: &mut Tally) -> (u64, u64) {
     let mut notified = 0;
     let mut lagged = 0;
     for sub in shared.subs.snapshot() {
         let (writer, session) = sub.writer();
         let tenant = session.tenant();
-        let permit = match shared.admission.try_admit(tenant) {
+        let mut permit = match shared.admission.try_admit(tenant) {
             Ok(permit) => permit,
             Err(refusal) => {
                 sub.mark_lagged();
@@ -1298,36 +1277,32 @@ fn notify_subscriptions(shared: &Shared, version: u64) -> (u64, u64) {
                 continue;
             }
         };
-        let mut permit = permit;
         permit.mark_running();
         let shed = permit.shed();
-        let tenant_ceiling = &shared.admission.directory().spec(tenant).ceiling;
-        let policy = admission::derive_policy(
-            &shared.config.ceiling,
-            tenant_ceiling,
-            &session.policy(),
-            CancelToken::new(),
-        );
-        let runner = AssessRunner::new(shared.engine.clone()).with_policy(policy);
-        let evaluated = assess_sql::parse_spanned(&stmt::strip_comments(sub.statement()))
-            .map_err(|e| e.to_string())
-            .and_then(|spanned| runner.run_auto(&spanned.statement).map_err(|e| e.to_string()));
-        match evaluated {
-            Ok((cube, _report)) => {
-                shared.runs.executed.fetch_add(1, Ordering::Relaxed);
+        let runner = job_runner(shared, tenant, session, CancelToken::new());
+        let code = match parse(sub.statement()).map(|s| runner.run_auto(&s.statement)) {
+            Ok(Ok((cube, _report))) => {
+                tally.executed += 1;
                 let (seq, frame) = sub.advance(&cube.cells(), shed == ShedLevel::Light);
                 write_line(writer, &subscribe::frame_json(sub.id(), seq, version, &frame));
                 notified += 1;
+                continue;
             }
-            Err(_) => {
-                // The statement validated at registration; a failure here
-                // is transient (budget, cancellation). Leave the baseline
-                // stale and flag it so the next frame re-sends in full.
-                sub.mark_lagged();
-                lagged += 1;
-                write_line(writer, &subscribe::lagged_json(sub.id(), "execution_error", 0));
+            Ok(Err(e)) => {
+                tally.count_error(&e);
+                error_code(&e)
             }
-        }
+            Err(rejected) => {
+                tally.failed += 1;
+                rejected.code
+            }
+        };
+        // The statement validated at registration; a failure here is
+        // transient (budget, cancellation). Leave the baseline stale and
+        // flag it so the next frame re-sends in full.
+        sub.mark_lagged();
+        lagged += 1;
+        write_line(writer, &subscribe::lagged_json(sub.id(), code, 0));
     }
     (notified, lagged)
 }
@@ -1335,79 +1310,44 @@ fn notify_subscriptions(shared: &Shared, version: u64) -> (u64, u64) {
 /// Executes a `subscribe` job: validate and evaluate the statement once
 /// (the response carries the complete baseline — clients patch it with
 /// subsequent diff frames), then register the subscription.
-fn execute_subscribe(shared: &Shared, job: &Job, statement: &str) -> Value {
+fn execute_subscribe(shared: &Shared, job: &Job, statement: &str, t0: Instant) -> Executed {
     let id = Some(job.request_id);
-    let t0 = Instant::now();
-    if job.token.is_cancelled() {
-        shared.runs.cancelled.fetch_add(1, Ordering::Relaxed);
-        return protocol::error_response(id, "cancelled", "cancelled while queued");
-    }
-    let spanned = match assess_sql::parse_spanned(&stmt::strip_comments(statement)) {
-        Ok(spanned) => spanned,
-        Err(e) => {
-            let diag = Diagnostic::new(DiagCode::E001, e.span, e.message.clone());
-            return protocol::error_with_diagnostics(
-                id,
-                "parse_error",
-                &e.to_string(),
-                &[diag],
-                Some(statement),
-            );
+    let mut tally = Tally::default();
+    let (spanned, _warnings) = match prepare(shared, statement) {
+        Ok(prepared) => prepared,
+        Err(rejected) => {
+            tally.failed += 1;
+            return Executed { response: rejected.response(id, statement), tally, history: None };
         }
     };
-    let diagnostics = shared.runner.check_spanned(&spanned.statement, Some(&spanned.spans));
-    if diagnostics.iter().any(Diagnostic::is_error) {
-        return protocol::error_with_diagnostics(
-            id,
-            "check_failed",
-            "static analysis reported errors",
-            &diagnostics,
-            Some(statement),
-        );
-    }
     let tenant = job.session.tenant();
-    let tenant_ceiling = &shared.admission.directory().spec(tenant).ceiling;
-    let policy = admission::derive_policy(
-        &shared.config.ceiling,
-        tenant_ceiling,
-        &job.session.policy(),
-        job.token.clone(),
-    );
-    let runner = AssessRunner::new(shared.engine.clone()).with_policy(policy);
+    let runner = job_runner(shared, tenant, &job.session, job.token.clone());
     let (cube, report) = match runner.run_auto(&spanned.statement) {
         Ok(out) => out,
-        Err(e) => return protocol::error_response(id, "execution_error", &e.to_string()),
-    };
-    shared.runs.executed.fetch_add(1, Ordering::Relaxed);
-    let channel: SubChannel = (job.writer.clone(), job.session.clone());
-    let tenant_name = shared.admission.directory().spec(tenant).name.clone();
-    let sub = match shared.subs.register(
-        job.session.id(),
-        &tenant_name,
-        statement,
-        &cube.cells(),
-        channel,
-    ) {
-        Ok(sub) => sub,
-        Err(ceiling) => {
-            return protocol::error_response(
-                id,
-                "subscription_limit",
-                &format!("tenant `{tenant_name}` already holds {ceiling} live subscriptions"),
-            )
+        Err(e) => {
+            tally.count_error(&e);
+            let response = protocol::error_response(id, error_code(&e), &e.to_string());
+            return Executed { response, tally, history: None };
         }
     };
-    let elapsed_ms = ms(t0.elapsed());
-    job.session.record(HistoryEntry {
-        statement: statement.to_string(),
-        outcome: format!("subscribed #{}", sub.id()),
-        elapsed_ms,
-        cells: cube.len(),
-    });
+    tally.executed += 1;
+    let channel: SubChannel = (job.writer.clone(), job.session.clone());
+    let tenant_name = shared.admission.directory().spec(tenant).name.clone();
+    let registered =
+        shared.subs.register(job.session.id(), &tenant_name, statement, &cube.cells(), channel);
+    let sub = match registered {
+        Ok(sub) => sub,
+        Err(ceiling) => {
+            let message =
+                format!("tenant `{tenant_name}` already holds {ceiling} live subscriptions");
+            let response = protocol::error_response(id, "subscription_limit", &message);
+            return Executed { response, tally, history: None };
+        }
+    };
     // The baseline travels in full (never truncated): diff frames patch
     // exactly this state forward.
     let rows: Vec<Value> = cube.cells().iter().map(serde::Serialize::to_value).collect();
-    protocol::ok_response(
+    let response = protocol::ok_response(
         id,
         vec![
             ("sub", n(sub.id())),
@@ -1415,9 +1355,11 @@ fn execute_subscribe(shared: &Shared, job: &Job, statement: &str) -> Value {
             ("strategy", s(report.strategy.acronym())),
             ("version", n(shared.engine.catalog().version())),
             ("rows", Value::Array(rows)),
-            ("elapsed_ms", n(elapsed_ms)),
+            ("elapsed_ms", n(ms(t0.elapsed()))),
         ],
-    )
+    );
+    let history = Some((statement.to_string(), format!("subscribed #{}", sub.id()), cube.len()));
+    Executed { response, tally, history }
 }
 
 /// Derives the predicate scope of a statement for a scoped cache insert:
@@ -1552,16 +1494,7 @@ fn run_response(
         ("elapsed_ms", n(elapsed_ms)),
         ("labels", labels),
     ];
-    match opts.format {
-        RunFormat::Csv => fields.push(("csv", s(result.cube.to_csv()))),
-        RunFormat::Cells => {
-            let limit = opts.limit.unwrap_or(shared.config.default_row_limit);
-            let rows: Vec<Value> =
-                result.cube.cells().iter().take(limit).map(serde::Serialize::to_value).collect();
-            fields.push(("rows", Value::Array(rows)));
-            fields.push(("truncated", Value::Bool(result.cube.len() > limit)));
-        }
-    }
+    push_cube(&mut fields, shared, &result.cube, opts.format, opts.limit);
     if let Some(tree) = trace {
         fields.push(("trace", tree.to_json()));
     }
@@ -1572,46 +1505,28 @@ fn run_response(
 }
 
 fn check_response(shared: &Shared, id: Option<u64>, statement: &str) -> Value {
-    match assess_sql::parse_spanned(&stmt::strip_comments(statement)) {
-        Err(e) => {
-            let diag = Diagnostic::new(DiagCode::E001, e.span, e.message.clone());
-            protocol::error_with_diagnostics(
-                id,
-                "parse_error",
-                &e.to_string(),
-                &[diag],
-                Some(statement),
-            )
-        }
-        Ok(spanned) => {
-            let diagnostics = shared.runner.check_spanned(&spanned.statement, Some(&spanned.spans));
-            let errors = diagnostics.iter().filter(|d| d.is_error()).count();
-            protocol::ok_response(
-                id,
-                vec![
-                    ("clean", Value::Bool(diagnostics.is_empty())),
-                    ("errors", n(errors as u64)),
-                    ("warnings", n((diagnostics.len() - errors) as u64)),
-                    ("diagnostics", protocol::diagnostics_json(&diagnostics, Some(statement))),
-                ],
-            )
-        }
-    }
+    let diagnostics = match prepare(shared, statement) {
+        Ok((_, warnings)) => warnings,
+        // Check errors are this op's answer, not a refusal.
+        Err(Rejected { code: "check_failed", diagnostics, .. }) => diagnostics,
+        Err(rejected) => return rejected.response(id, statement),
+    };
+    let errors = diagnostics.iter().filter(|d| d.is_error()).count();
+    protocol::ok_response(
+        id,
+        vec![
+            ("clean", Value::Bool(diagnostics.is_empty())),
+            ("errors", n(errors as u64)),
+            ("warnings", n((diagnostics.len() - errors) as u64)),
+            ("diagnostics", protocol::diagnostics_json(&diagnostics, Some(statement))),
+        ],
+    )
 }
 
 fn explain_response(shared: &Shared, id: Option<u64>, statement: &str) -> Value {
-    let spanned = match assess_sql::parse_spanned(&stmt::strip_comments(statement)) {
+    let spanned = match parse(statement) {
         Ok(spanned) => spanned,
-        Err(e) => {
-            let diag = Diagnostic::new(DiagCode::E001, e.span, e.message.clone());
-            return protocol::error_with_diagnostics(
-                id,
-                "parse_error",
-                &e.to_string(),
-                &[diag],
-                Some(statement),
-            );
-        }
+        Err(rejected) => return rejected.response(id, statement),
     };
     let explained = shared
         .runner
@@ -1715,15 +1630,7 @@ fn stats_response(shared: &Shared, session: &Session, id: Option<u64>) -> Value 
                     ("reservations_denied", n(p.reservations_denied)),
                 ])
             }),
-            (
-                "runs",
-                protocol::obj(vec![
-                    ("executed", n(shared.runs.executed.load(Ordering::Relaxed))),
-                    ("cache_hits", n(shared.runs.cache_hits.load(Ordering::Relaxed))),
-                    ("failed", n(shared.runs.failed.load(Ordering::Relaxed))),
-                    ("cancelled", n(shared.runs.cancelled.load(Ordering::Relaxed))),
-                ]),
-            ),
+            ("runs", lock(&shared.runs).to_json()),
             (
                 "obs",
                 protocol::obj(vec![
@@ -1827,6 +1734,7 @@ fn metrics_response(shared: &Shared, id: Option<u64>) -> Value {
     let pool = shared.pool.stats();
     let cache = shared.cache.stats();
     let sessions = shared.sessions.stats();
+    let runs = *lock(&shared.runs);
 
     let mut exp = obs::Exposition::new();
     exp.counter("assess_queries_total", "Queries executed (successes and failures).", core.queries);
@@ -1913,26 +1821,14 @@ fn metrics_response(shared: &Shared, id: Option<u64>) -> Value {
         pool.reservations_denied,
     );
 
-    exp.counter(
-        "assess_serve_runs_total",
-        "Cold runs executed.",
-        shared.runs.executed.load(Ordering::Relaxed),
-    );
+    exp.counter("assess_serve_runs_total", "Cold runs executed.", runs.executed);
     exp.counter(
         "assess_serve_cache_hits_total",
         "Runs served from the result cache.",
-        shared.runs.cache_hits.load(Ordering::Relaxed),
+        runs.cache_hits,
     );
-    exp.counter(
-        "assess_serve_failed_total",
-        "Runs that failed.",
-        shared.runs.failed.load(Ordering::Relaxed),
-    );
-    exp.counter(
-        "assess_serve_cancelled_total",
-        "Runs cancelled.",
-        shared.runs.cancelled.load(Ordering::Relaxed),
-    );
+    exp.counter("assess_serve_failed_total", "Runs that failed.", runs.failed);
+    exp.counter("assess_serve_cancelled_total", "Runs cancelled.", runs.cancelled);
     exp.counter("assess_serve_cache_misses_total", "Result-cache misses.", cache.misses);
     exp.gauge("assess_serve_sessions_active", "Open sessions.", sessions.active as f64);
     exp.gauge(
@@ -2000,15 +1896,7 @@ fn metrics_response(shared: &Shared, id: Option<u64>) -> Value {
     let metrics = protocol::obj(vec![
         ("core", core.to_json()),
         ("engine", engine_metrics_json(shared)),
-        (
-            "serve",
-            protocol::obj(vec![
-                ("executed", n(shared.runs.executed.load(Ordering::Relaxed))),
-                ("cache_hits", n(shared.runs.cache_hits.load(Ordering::Relaxed))),
-                ("failed", n(shared.runs.failed.load(Ordering::Relaxed))),
-                ("cancelled", n(shared.runs.cancelled.load(Ordering::Relaxed))),
-            ]),
-        ),
+        ("serve", runs.to_json()),
     ]);
     protocol::ok_response(id, vec![("exposition", s(exp.finish())), ("metrics", metrics)])
 }

@@ -358,6 +358,71 @@ fn cancel_aborts_queued_and_in_flight_runs() {
     handle.shutdown();
 }
 
+/// Every job kind queued behind a busy worker cancels the same way: it
+/// answers `cancelled`, counts once in `runs.cancelled`, records one
+/// `cancelled` history entry, and never executes — the queued append
+/// commits nothing.
+#[test]
+fn every_queued_job_kind_cancels_the_same_way() {
+    // A private SF 0.01 dataset without views: the append must not touch
+    // the shared catalog, and view-free scans keep run A busy longer.
+    let catalog = ssb_data::generate::generate(SsbConfig::with_scale(0.01)).catalog;
+    let config = ServerConfig { workers: 1, cache_capacity: 0, ..ServerConfig::default() };
+    let handle = serve(Engine::new(catalog.clone()), config).expect("server boots");
+    let mut client = connect(&handle);
+    let version = catalog.version();
+    let cancelled_before = stat_u64(&client.stats().unwrap(), &["runs", "cancelled"]);
+
+    // Run A occupies the single worker; the four jobs behind it queue.
+    let a = client.start_run(SIBLING).unwrap();
+    let str_value = |text: &str| Value::String(text.to_string());
+    let queued = [
+        client.send(vec![
+            ("op", str_value("batch")),
+            ("statements", Value::Array(vec![str_value(CONSTANT), str_value(PAST)])),
+        ]),
+        client.send(vec![
+            ("op", str_value("append")),
+            ("cube", str_value("SSB")),
+            ("rows", wire_batch(&catalog, &[0, 1])),
+        ]),
+        client.send(vec![("op", str_value("subscribe")), ("statement", str_value(CONSTANT))]),
+        client.send(vec![
+            ("op", str_value("partial")),
+            ("query", Value::Object(vec![("cube".to_string(), str_value("SSB"))])),
+        ]),
+    ]
+    .map(|sent| sent.expect("job request sent"));
+    for id in queued {
+        let cancel = client.cancel(id).unwrap();
+        assert_eq!(cancel.get("cancelled").and_then(Value::as_bool), Some(true), "{cancel:?}");
+    }
+    for id in queued {
+        let response = client.wait_for(id).unwrap();
+        assert_eq!(error_code(&response), Some("cancelled"), "{response:?}");
+    }
+    assert_ok(&client.wait_for(a).unwrap());
+
+    let stats = client.stats().unwrap();
+    assert_eq!(stat_u64(&stats, &["runs", "cancelled"]), cancelled_before + 4);
+    assert_eq!(catalog.version(), version, "a cancelled append committed");
+    assert_eq!(
+        stats.get("subscriptions").and_then(|s| s.get("active")).and_then(Value::as_f64),
+        Some(0.0)
+    );
+    let history = client.history().unwrap();
+    let outcomes: Vec<&str> = history
+        .get("history")
+        .and_then(Value::as_array)
+        .expect("history entries")
+        .iter()
+        .filter_map(|entry| entry.get("outcome").and_then(Value::as_str))
+        .collect();
+    assert_eq!(outcomes.iter().filter(|o| **o == "cancelled").count(), 4, "{outcomes:?}");
+
+    handle.shutdown();
+}
+
 /// The governor path is e2e-deterministic with a starved row budget: the
 /// session policy propagates into every attempt of the fallback ladder and
 /// the run fails with `budget_exceeded`.
@@ -1213,6 +1278,40 @@ fn subscribe_receives_exact_diffs_that_patch_to_a_full_rerun() {
     let second = client.append("SSB", wire_batch(&catalog, &[0])).unwrap();
     assert_ok(&second);
     assert_eq!(second.get("subscriptions_notified").and_then(Value::as_f64), Some(0.0));
+
+    handle.shutdown();
+}
+
+/// Subscribe failures carry the same structured codes as `run`: a starved
+/// row budget answers `budget_exceeded` at registration (counted in
+/// `runs.failed`), and a re-evaluation that hits a tightened budget pushes
+/// a `lagged` frame carrying `budget_exceeded`.
+#[test]
+fn subscribe_failures_carry_structured_error_codes() {
+    let (handle, catalog) = boot_fresh(ServerConfig::default(), None);
+    let mut client = connect(&handle);
+
+    assert_ok(&client.set_policy(None, Some(1), None).unwrap());
+    let starved = client.subscribe(CONSTANT).unwrap();
+    assert_eq!(error_code(&starved), Some("budget_exceeded"), "{starved:?}");
+    assert_eq!(stat_u64(&client.stats().unwrap(), &["runs", "failed"]), 1);
+
+    assert_ok(&client.set_policy(None, None, None).unwrap());
+    let subscribed = client.subscribe(CONSTANT).unwrap();
+    assert_ok(&subscribed);
+    let sub = subscribed.get("sub").and_then(Value::as_f64).expect("subscription id");
+
+    // Tighten the subscriber's policy: the post-append re-evaluation runs
+    // under it and exceeds the budget.
+    assert_ok(&client.set_policy(None, Some(1), None).unwrap());
+    let append = client.append("SSB", wire_batch(&catalog, &[2])).unwrap();
+    assert_ok(&append);
+    assert_eq!(append.get("subscriptions_lagged").and_then(Value::as_f64), Some(1.0));
+    let frame = client.next_event().unwrap();
+    assert_eq!(frame.get("event").and_then(Value::as_str), Some("lagged"));
+    assert_eq!(frame.get("sub").and_then(Value::as_f64), Some(sub));
+    assert_eq!(frame.get("code").and_then(Value::as_str), Some("budget_exceeded"), "{frame:?}");
+    assert_eq!(stat_u64(&client.stats().unwrap(), &["runs", "failed"]), 2);
 
     handle.shutdown();
 }
