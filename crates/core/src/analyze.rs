@@ -13,7 +13,7 @@
 //! 1. **Structural checks** mirror the validation in `semantics.rs` clause
 //!    by clause (cube, by, measure, predicates, `using` chain, benchmark,
 //!    labels), each anchored to the clause's source span when the statement
-//!    came from [`assess_sql::parse_spanned`] and to a dummy span when it
+//!    came from `assess_sql::parse_spanned` and to a dummy span when it
 //!    was built programmatically. Lints (`W1xx`) about gaps, unused
 //!    benchmarks, degenerate divisions and thin history ride along.
 //! 2. **Resolution + engine lints** run only when layer 1 found no errors:

@@ -5,7 +5,7 @@
 //! materialized — and whether [`AssessRunner::run_auto`] may fall back to a
 //! cheaper strategy when an attempt fails. The policy is declarative; at
 //! run time it is compiled into an engine-level
-//! [`ResourceGovernor`](olap_engine::ResourceGovernor) whose deadline is
+//! [`olap_engine::ResourceGovernor`] whose deadline is
 //! **absolute**: every attempt of one fallback ladder shares the same
 //! instant, so retries never extend the caller's wait.
 //!
@@ -128,7 +128,7 @@ impl ExecutionPolicy {
     }
 
     /// Whether the policy imposes any resource limit at all (a cancel token
-    /// is not a limit — see [`needs_governor`](Self::needs_governor)).
+    /// is not a limit — see `needs_governor`).
     pub fn is_unlimited(&self) -> bool {
         self.deadline.is_none()
             && self.max_rows_scanned.is_none()

@@ -29,6 +29,19 @@ impl Accumulator {
         }
     }
 
+    /// The state whose finalized values are `values`, for the operators
+    /// whose finalized value *is* their state (sum, count, min, max); `None`
+    /// for Avg, whose sum and count cannot be recovered from their quotient.
+    pub(crate) fn from_finalized(op: AggOp, values: Vec<f64>) -> Option<Self> {
+        match op {
+            AggOp::Sum => Some(Accumulator::Sum(values)),
+            AggOp::Count => Some(Accumulator::Count(values)),
+            AggOp::Min => Some(Accumulator::Min(values)),
+            AggOp::Max => Some(Accumulator::Max(values)),
+            AggOp::Avg => None,
+        }
+    }
+
     /// Grows to `n` group slots, initializing new slots to the identity.
     pub fn grow_to(&mut self, n: usize) {
         match self {

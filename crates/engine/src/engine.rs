@@ -1,13 +1,14 @@
 //! The engine proper: `get`, fused `get ⋈ get` (JOP) and fused
 //! `get + pivot` (POP) execution.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use olap_model::{
     AggOp, Coordinate, CubeColumn, CubeQuery, CubeSchema, DerivedCube, GroupBySet, MemberId,
     NumericColumn,
 };
-use olap_storage::{Catalog, MaterializedAggregate, NumericSlice, Table};
+use olap_storage::{Catalog, CubeBinding, MaterializedAggregate, NumericSlice, Table};
 
 use crate::aggregate::{accumulate_chunk, GroupLanes, GroupTable};
 use crate::error::EngineError;
@@ -109,33 +110,150 @@ pub struct GetOutcome {
     pub per_shard: Vec<ShardScan>,
 }
 
+/// Access-path diagnostics of an executed get: everything a [`GetOutcome`]
+/// reports besides its cube.
+#[derive(Debug, Default)]
+pub(crate) struct ScanStats {
+    pub(crate) used_view: Option<String>,
+    pub(crate) rows_scanned: usize,
+    pub(crate) parallelism: usize,
+    pub(crate) morsels: usize,
+    pub(crate) per_shard: Vec<ShardScan>,
+}
+
+impl ScanStats {
+    /// The stats of one local morsel scan over `rows_scanned` rows.
+    fn local(rows_scanned: usize, run: &ScanRun) -> Self {
+        ScanStats {
+            rows_scanned,
+            parallelism: run.parallelism,
+            morsels: run.morsels,
+            ..ScanStats::default()
+        }
+    }
+
+    /// Folds the right side of a fused operator into this (left) side:
+    /// rows and morsels add up, parallelism is the larger side's, per-shard
+    /// entries merge by shard index, and the left side names the view.
+    fn fuse(&mut self, right: &ScanStats) {
+        self.rows_scanned += right.rows_scanned;
+        self.parallelism = self.parallelism.max(right.parallelism);
+        self.morsels += right.morsels;
+        self.per_shard = merge_shard_scans(&self.per_shard, &right.per_shard);
+    }
+}
+
 /// An executed get kept in the engine's internal packed representation, so
 /// fused operators can join/pivot without materializing coordinates.
-struct GetInternal {
+pub(crate) struct GetInternal {
     schema: Arc<CubeSchema>,
     group_by: GroupBySet,
     layout: KeyLayout,
     table: GroupTable<u64>,
     measures: Vec<String>,
-    used_view: Option<String>,
-    rows_scanned: usize,
-    parallelism: usize,
-    morsels: usize,
-    per_shard: Vec<ShardScan>,
+    scan: ScanStats,
+}
+
+impl GetInternal {
+    pub(crate) fn new(
+        plan: &GetPlan,
+        q: &CubeQuery,
+        table: GroupTable<u64>,
+        scan: ScanStats,
+    ) -> Self {
+        GetInternal {
+            schema: plan.schema.clone(),
+            group_by: q.group_by.clone(),
+            layout: plan.layout.clone(),
+            table,
+            measures: q.measures.clone(),
+            scan,
+        }
+    }
+
+    /// Emits the groups at `rows` (slots of the group table; `None` = every
+    /// group, with no per-row pass) as a sorted cube: coordinates unpacked
+    /// from the packed keys, the finalized measures, then `extra` columns.
+    pub(crate) fn emit(
+        self,
+        rows: Option<&[usize]>,
+        extra: Vec<CubeColumn>,
+    ) -> Result<GetOutcome, EngineError> {
+        let GetInternal { schema, group_by, layout, table, measures, scan } = self;
+        let (keys, cols) = table.finish();
+        let keys = pick(keys, rows);
+        let coord_cols = (0..group_by.arity())
+            .map(|c| keys.iter().map(|&key| layout.unpack_component(key, c)).collect())
+            .collect();
+        let columns = measures
+            .into_iter()
+            .zip(cols)
+            .map(|(name, col)| CubeColumn::Numeric(NumericColumn::dense(name, pick(col, rows))))
+            .chain(extra)
+            .collect();
+        emit(schema, group_by, coord_cols, columns, scan)
+    }
+}
+
+/// The entries of `col` at `rows`, in that order; `None` keeps them all.
+fn pick<T: Copy>(col: Vec<T>, rows: Option<&[usize]>) -> Vec<T> {
+    match rows {
+        None => col,
+        Some(rows) => rows.iter().map(|&i| col[i]).collect(),
+    }
+}
+
+/// The one emitter of engine results — queries, fused operators, the wide
+/// fallback and view maintenance: assembles the cube, sorts it into the
+/// canonical coordinate order and attaches the access-path diagnostics.
+pub(crate) fn emit(
+    schema: Arc<CubeSchema>,
+    group_by: GroupBySet,
+    coord_cols: Vec<Vec<MemberId>>,
+    columns: Vec<CubeColumn>,
+    scan: ScanStats,
+) -> Result<GetOutcome, EngineError> {
+    let mut cube = DerivedCube::from_parts(schema, group_by, coord_cols, columns)?;
+    cube.sort_by_coordinates();
+    let ScanStats { used_view, rows_scanned, parallelism, morsels, per_shard } = scan;
+    Ok(GetOutcome { cube, used_view, rows_scanned, parallelism, morsels, per_shard })
 }
 
 /// A validated `get`: its cube binding, schema, per-measure operators and
 /// packed-key layout.
-struct GetPlan {
-    binding: Arc<olap_storage::CubeBinding>,
-    schema: Arc<CubeSchema>,
-    ops: Vec<AggOp>,
-    layout: KeyLayout,
+pub(crate) struct GetPlan {
+    pub(crate) binding: Arc<CubeBinding>,
+    pub(crate) schema: Arc<CubeSchema>,
+    pub(crate) ops: Vec<AggOp>,
+    pub(crate) layout: KeyLayout,
 }
 
-/// Which storage object a morsel-driven scan reads.
-enum ScanSource {
-    Fact(Arc<Table>),
+impl GetPlan {
+    /// Validates `q` against `binding` and lays out its packed group-by key.
+    pub(crate) fn new(binding: Arc<CubeBinding>, q: &CubeQuery) -> Result<Self, EngineError> {
+        let schema = binding.schema().clone();
+        q.validate(&schema)?;
+        let ops: Vec<AggOp> = q
+            .measures
+            .iter()
+            .map(|m| schema.require_measure(m).map(|d| d.agg()))
+            .collect::<Result<_, _>>()?;
+        let cardinalities: Vec<usize> = q
+            .group_by
+            .included_hierarchies()
+            .map(|(hi, li)| {
+                schema.hierarchy(hi).and_then(|h| h.level(li)).map(|l| l.cardinality()).unwrap_or(0)
+            })
+            .collect();
+        let layout = KeyLayout::for_cardinalities(&cardinalities);
+        Ok(GetPlan { binding, schema, ops, layout })
+    }
+}
+
+/// Which storage object a morsel-driven scan reads: a row range of a fact
+/// table (morsels number from the range start), or a whole view.
+pub(crate) enum ScanSource {
+    Fact { table: Arc<Table>, rows: Range<usize> },
     View(Arc<MaterializedAggregate>),
 }
 
@@ -149,21 +267,21 @@ enum ScanSource {
 /// to `f64` lanes, then run the branch-free select + accumulate kernels
 /// over those lanes — the inner loops never branch on the physical
 /// encoding.
-struct ScanCtx {
-    source: ScanSource,
+pub(crate) struct ScanCtx {
+    pub(crate) source: ScanSource,
     /// Distinct id columns the kernels read (fact: fk column index; view:
     /// coordinate component), each decoded into one scratch lane per morsel.
     /// Masks and keys refer to these by slot, so a column shared by a
     /// predicate and a group-by component decodes once.
-    lane_cols: Vec<usize>,
+    pub(crate) lane_cols: Vec<usize>,
     /// Per predicate: the lane slot of its id column and the allowed-member
     /// mask over its domain.
-    masks: Vec<(usize, Arc<[bool]>)>,
+    pub(crate) masks: Vec<(usize, Arc<[bool]>)>,
     /// Per group-by component: the lane slot and the roll-up map (member
     /// ids as raw codes) from the carried level to the queried level.
-    keys: Vec<(usize, Vec<u32>)>,
+    pub(crate) keys: Vec<(usize, Vec<u32>)>,
     /// Measure columns (fact: table column index; view: measure index).
-    measures: Vec<usize>,
+    pub(crate) measures: Vec<usize>,
     layout: KeyLayout,
     ops: Vec<AggOp>,
 }
@@ -178,6 +296,56 @@ fn lane_slot(lane_cols: &mut Vec<usize>, col: usize) -> usize {
 }
 
 impl ScanCtx {
+    /// Resolves the fact-side scan of `q` over rows `rows` of `fact` — the
+    /// one fact-scan builder. Queries scan the committed table over `0..n`;
+    /// append maintenance scans the grown, uncommitted table over the
+    /// delta's rows (or `0..n` for a rebuild). Every column is resolved and
+    /// type-checked here (borrowing, never copying measure columns), so
+    /// workers can index into chunks infallibly. Foreign keys may be plain
+    /// `i64` or encoded key columns — both decode into the same flat lanes.
+    pub(crate) fn for_fact(
+        plan: &GetPlan,
+        q: &CubeQuery,
+        fact: &Arc<Table>,
+        rows: Range<usize>,
+    ) -> Result<ScanCtx, EngineError> {
+        let (binding, schema) = (&plan.binding, &plan.schema);
+        let carrier: Vec<Option<usize>> = vec![Some(0); schema.hierarchies().len()];
+        let filter = CompiledFilter::compile(schema, &q.predicates, &carrier)?;
+        let mut lane_cols: Vec<usize> = Vec::new();
+        let mut masks: Vec<(usize, Arc<[bool]>)> = Vec::new();
+        for m in filter.masks() {
+            let idx = fact.require_key_like(binding.fk_column(m.hierarchy))?;
+            masks.push((lane_slot(&mut lane_cols, idx), m.mask.clone()));
+        }
+        let mut keys: Vec<(usize, Vec<u32>)> = Vec::new();
+        for (hi, li) in q.group_by.included_hierarchies() {
+            let idx = fact.require_key_like(binding.fk_column(hi))?;
+            let h = schema.hierarchy(hi).expect("hierarchy in range");
+            let roll: Vec<u32> = h.composed_map(0, li)?.iter().map(|m| m.0).collect();
+            keys.push((lane_slot(&mut lane_cols, idx), roll));
+        }
+        let mut measures: Vec<usize> = Vec::new();
+        for m in &q.measures {
+            let col_name = binding.measure_column_by_name(m).ok_or_else(|| {
+                EngineError::Model(olap_model::ModelError::UnknownMeasure(m.clone()))
+            })?;
+            fact.numeric_slice(col_name).map_err(|_| {
+                EngineError::Unsupported(format!("measure column `{col_name}` is not numeric"))
+            })?;
+            measures.push(fact.column_index(col_name).expect("numeric_slice checked existence"));
+        }
+        Ok(ScanCtx {
+            source: ScanSource::Fact { table: fact.clone(), rows },
+            lane_cols,
+            masks,
+            keys,
+            measures,
+            layout: plan.layout.clone(),
+            ops: plan.ops.clone(),
+        })
+    }
+
     /// Runs the select and accumulate kernels over one chunk's lanes.
     fn run_kernels(
         &self,
@@ -236,7 +404,7 @@ impl ScanCtx {
 impl MorselScan for ScanCtx {
     fn n_rows(&self) -> usize {
         match &self.source {
-            ScanSource::Fact(t) => t.n_rows(),
+            ScanSource::Fact { rows, .. } => rows.len(),
             ScanSource::View(v) => v.len(),
         }
     }
@@ -255,7 +423,8 @@ impl MorselScan for ScanCtx {
         let len = hi - lo;
         scratch.ensure_slots(self.lane_cols.len(), self.measures.len());
         match &self.source {
-            ScanSource::Fact(t) => {
+            ScanSource::Fact { table: t, rows } => {
+                let (lo, hi) = (rows.start + lo, rows.start + hi);
                 // Morsel skipping: a masked run-length column whose
                 // overlapping runs all fail its mask proves no row of the
                 // morsel survives the predicate conjunction, so the decode
@@ -465,7 +634,7 @@ impl Engine {
     }
 
     /// Cooperative deadline/cancellation checkpoint.
-    fn gov_check(&self) -> Result<(), EngineError> {
+    pub(crate) fn gov_check(&self) -> Result<(), EngineError> {
         match &self.governor {
             Some(g) => g.check(),
             None => Ok(()),
@@ -481,36 +650,27 @@ impl Engine {
         }
     }
 
-    /// Charges materialized result cells against the budget.
-    fn gov_charge_cells(&self, n: usize) -> Result<(), EngineError> {
-        match &self.governor {
-            Some(g) => g.charge_output_cells(n as u64),
-            None => Ok(()),
+    /// Charges a query op's materialized result cells against the budget —
+    /// once per op, on the cube it returns.
+    fn charge_cells(&self, out: GetOutcome) -> Result<GetOutcome, EngineError> {
+        if let Some(g) = &self.governor {
+            g.charge_output_cells(out.cube.len() as u64)?;
         }
+        Ok(out)
     }
 
     /// Drives a morsel scan: resolves the effective degree of parallelism
     /// (size gating, config/env caps), picks the pool, and hands off to
-    /// [`run_morsels`]. Small inputs run serially on the caller's thread
-    /// through the same code path, so results are byte-identical at every
-    /// thread count.
-    fn run_scan(&self, ctx: ScanCtx) -> Result<ScanRun, EngineError> {
+    /// [`run_morsels`] under this engine's governor and fault injector.
+    /// Small inputs run serially on the caller's thread through the same
+    /// code path, so results are byte-identical at every thread count.
+    pub(crate) fn run_scan(&self, ctx: ScanCtx) -> Result<ScanRun, EngineError> {
         let n_rows = MorselScan::n_rows(&ctx);
         let morsel_rows = self.config.morsel_rows.max(1);
         let dop = if n_rows < self.config.parallel_threshold { 1 } else { self.parallelism_cap() };
-        let ctx = Arc::new(ctx);
-        if dop <= 1 {
-            return run_morsels(
-                None,
-                1,
-                morsel_rows,
-                ctx,
-                self.governor.clone(),
-                self.faults.clone(),
-            );
-        }
-        let pool = self.pool.clone().unwrap_or_else(WorkerPool::global);
-        run_morsels(Some(&pool), dop, morsel_rows, ctx, self.governor.clone(), self.faults.clone())
+        let pool = (dop > 1).then(|| self.pool.clone().unwrap_or_else(WorkerPool::global));
+        let (governor, faults) = (self.governor.clone(), self.faults.clone());
+        run_morsels(pool.as_ref(), dop, morsel_rows, Arc::new(ctx), governor, faults)
     }
 
     /// Appends a batch of fact rows to `cube`'s fact table, incrementally
@@ -533,27 +693,24 @@ impl Engine {
     /// producing a sorted, materialized derived cube.
     ///
     /// Group-by sets whose packed key does not fit a machine word fall back
-    /// to a wide-key scan (`crate::wide`); fused join/pivot paths keep
-    /// requiring packed keys.
+    /// to a wide-key scan (`crate::wide`) of the same resolved fact-scan
+    /// context; fused join/pivot paths keep requiring packed keys.
     pub fn get(&self, q: &CubeQuery) -> Result<GetOutcome, EngineError> {
         let plan = self.plan_get(q)?;
         // The wide fallback reads the coordinator's own fact table, which
         // is empty by design when sharded — a sharded wide get fails in
         // `run_planned` instead.
-        let outcome = if plan.layout.fits_u64() || self.shards.is_some() {
-            materialize(self.run_planned(q, plan)?)
-        } else {
-            let o = crate::wide::get_wide(&self.catalog, q, self.config.morsel_rows)?;
-            self.metrics.record_scan(
-                ScanPath::Wide,
-                o.rows_scanned as u64,
-                o.morsels as u64,
-                o.parallelism as u64,
-            );
-            o
-        };
-        self.gov_charge_cells(outcome.cube.len())?;
-        Ok(outcome)
+        if plan.layout.fits_u64() || self.shards.is_some() {
+            return self.charge_cells(self.run_planned(q, &plan)?.emit(None, Vec::new())?);
+        }
+        let fact = self.catalog.table(plan.binding.fact_table())?;
+        self.fault(FaultSite::DictLookup)?;
+        let ctx = ScanCtx::for_fact(&plan, q, &fact, 0..fact.n_rows())?;
+        self.fault(FaultSite::Scan)?;
+        self.gov_charge_rows(fact.n_rows())?;
+        let out = crate::wide::get_wide(self, &plan, q, &ctx)?;
+        self.metrics.record_scan(ScanPath::Wide, out.rows_scanned as u64, out.morsels as u64, 1);
+        self.charge_cells(out)
     }
 
     /// Executes two cube queries and **naturally joins** them inside the
@@ -568,7 +725,7 @@ impl Engine {
         kind: JoinKind,
         right_renames: &[String],
     ) -> Result<GetOutcome, EngineError> {
-        let left = self.run_get(left_q)?;
+        let mut left = self.run_get(left_q)?;
         let right = self.run_get(right_q)?;
         check_joinable(&left, &right)?;
         if right_renames.len() != right.measures.len() {
@@ -578,52 +735,28 @@ impl Engine {
                 right.measures.len()
             )));
         }
-
-        let rows_scanned = left.rows_scanned + right.rows_scanned;
-        let parallelism = left.parallelism.max(right.parallelism);
-        let morsels = left.morsels + right.morsels;
-        let per_shard = merge_shard_scans(&left.per_shard, &right.per_shard);
-        let (left_keys, left_cols) = left.table.finish();
+        left.scan.fuse(&right.scan);
 
         // Probe the benchmark side's group table directly — no separate
         // join index needs to be built.
-        let mut kept_rows: Vec<(usize, Option<usize>)> = Vec::with_capacity(left_keys.len());
-        for (row, key) in left_keys.iter().enumerate() {
-            match (kind, right.table.lookup(key)) {
-                (JoinKind::Inner, None) => {}
-                (_, m) => kept_rows.push((row, m)),
-            }
-        }
+        let (kept_rows, matches): (Vec<usize>, Vec<Option<usize>>) = left
+            .table
+            .keys()
+            .iter()
+            .enumerate()
+            .map(|(row, key)| (row, right.table.lookup(key)))
+            .filter(|(_, m)| kind == JoinKind::LeftOuter || m.is_some())
+            .unzip();
         let (_, right_cols) = right.table.finish();
-
-        let mut coord_cols: Vec<Vec<MemberId>> =
-            (0..left.group_by.arity()).map(|_| Vec::with_capacity(kept_rows.len())).collect();
-        for (row, _) in &kept_rows {
-            for (c, col) in coord_cols.iter_mut().enumerate() {
-                col.push(left.layout.unpack_component(left_keys[*row], c));
-            }
-        }
-        let mut columns: Vec<CubeColumn> = Vec::new();
-        for (name, col) in left.measures.iter().zip(left_cols.iter()) {
-            let data: Vec<f64> = kept_rows.iter().map(|(row, _)| col[*row]).collect();
-            columns.push(CubeColumn::Numeric(NumericColumn::dense(name.clone(), data)));
-        }
-        for (name, col) in right_renames.iter().zip(right_cols.iter()) {
-            let data: Vec<Option<f64>> =
-                kept_rows.iter().map(|(_, m)| m.map(|slot| col[slot])).collect();
-            columns.push(CubeColumn::Numeric(NumericColumn::nullable(name.clone(), data)));
-        }
-        let mut cube = DerivedCube::from_parts(left.schema, left.group_by, coord_cols, columns)?;
-        cube.sort_by_coordinates();
-        self.gov_charge_cells(cube.len())?;
-        Ok(GetOutcome {
-            cube,
-            used_view: left.used_view,
-            rows_scanned,
-            parallelism,
-            morsels,
-            per_shard,
-        })
+        let extra = right_renames
+            .iter()
+            .zip(&right_cols)
+            .map(|(name, col)| {
+                let data = matches.iter().map(|m| m.map(|slot| col[slot])).collect();
+                CubeColumn::Numeric(NumericColumn::nullable(name.clone(), data))
+            })
+            .collect();
+        self.charge_cells(left.emit(Some(&kept_rows), extra)?)
     }
 
     /// Executes two cube queries and **roll-up joins** them inside the
@@ -643,7 +776,7 @@ impl Engine {
         rename: &str,
         kind: JoinKind,
     ) -> Result<GetOutcome, EngineError> {
-        let left = self.run_get(left_q)?;
+        let mut left = self.run_get(left_q)?;
         let right = self.run_get(right_q)?;
         let component = left.group_by.component_of(hierarchy).ok_or_else(|| {
             EngineError::NotJoinable(format!(
@@ -670,58 +803,28 @@ impl Engine {
                 )))
             })?
             .composed_map(fine_level, coarse_level)?;
-
-        let rows_scanned = left.rows_scanned + right.rows_scanned;
-        let parallelism = left.parallelism.max(right.parallelism);
-        let morsels = left.morsels + right.morsels;
-        let per_shard = merge_shard_scans(&left.per_shard, &right.per_shard);
-        let right_layout = right.layout.clone();
-        let right_table = &right.table;
-        let (left_keys, left_cols) = left.table.finish();
+        left.scan.fuse(&right.scan);
 
         let mut kept_rows: Vec<usize> = Vec::new();
         let mut bench_col: Vec<Option<f64>> = Vec::new();
-        for (row, &key) in left_keys.iter().enumerate() {
+        for (row, &key) in left.table.keys().iter().enumerate() {
             // Re-pack the key in the right cube's layout, substituting the
             // rolled member for the fine one.
             let mut nb_key = 0u64;
             for c in 0..left.group_by.arity() {
                 let member = left.layout.unpack_component(key, c);
                 let member = if c == component { rollmap[member.index()] } else { member };
-                right_layout.pack_component(&mut nb_key, c, member);
+                right.layout.pack_component(&mut nb_key, c, member);
             }
-            let v = right_table.lookup(&nb_key).map(|slot| right_table.value(midx, slot));
+            let v = right.table.lookup(&nb_key).map(|slot| right.table.value(midx, slot));
             if kind == JoinKind::Inner && v.is_none() {
                 continue;
             }
             kept_rows.push(row);
             bench_col.push(v);
         }
-
-        let mut coord_cols: Vec<Vec<MemberId>> =
-            (0..left.group_by.arity()).map(|_| Vec::with_capacity(kept_rows.len())).collect();
-        for &row in &kept_rows {
-            for (c, col) in coord_cols.iter_mut().enumerate() {
-                col.push(left.layout.unpack_component(left_keys[row], c));
-            }
-        }
-        let mut columns: Vec<CubeColumn> = Vec::new();
-        for (name, col) in left.measures.iter().zip(left_cols.iter()) {
-            let data: Vec<f64> = kept_rows.iter().map(|&row| col[row]).collect();
-            columns.push(CubeColumn::Numeric(NumericColumn::dense(name.clone(), data)));
-        }
-        columns.push(CubeColumn::Numeric(NumericColumn::nullable(rename.to_string(), bench_col)));
-        let mut cube = DerivedCube::from_parts(left.schema, left.group_by, coord_cols, columns)?;
-        cube.sort_by_coordinates();
-        self.gov_charge_cells(cube.len())?;
-        Ok(GetOutcome {
-            cube,
-            used_view: left.used_view,
-            rows_scanned,
-            parallelism,
-            morsels,
-            per_shard,
-        })
+        let extra = vec![CubeColumn::Numeric(NumericColumn::nullable(rename, bench_col))];
+        self.charge_cells(left.emit(Some(&kept_rows), extra)?)
     }
 
     /// Executes two cube queries and **partially joins** them inside the
@@ -758,7 +861,7 @@ impl Engine {
         if slice_members.is_empty() {
             return Err(EngineError::NotJoinable("no benchmark slices".into()));
         }
-        let left = self.run_get(left_q)?;
+        let mut left = self.run_get(left_q)?;
         let right = self.run_get(right_q)?;
         check_joinable(&left, &right)?;
         let component = left.group_by.component_of(slice_hierarchy).ok_or_else(|| {
@@ -769,26 +872,20 @@ impl Engine {
         let midx = right.measures.iter().position(|m| m == measure).ok_or_else(|| {
             EngineError::NotJoinable(format!("measure `{measure}` not in the benchmark query"))
         })?;
+        left.scan.fuse(&right.scan);
 
-        let rows_scanned = left.rows_scanned + right.rows_scanned;
-        let parallelism = left.parallelism.max(right.parallelism);
-        let morsels = left.morsels + right.morsels;
-        let per_shard = merge_shard_scans(&left.per_shard, &right.per_shard);
         // Probe the benchmark side's group table directly — no separate
         // join index needs to be built.
-        let right_table = &right.table;
-        let (left_keys, left_cols) = left.table.finish();
-
         let mut kept_rows: Vec<usize> = Vec::new();
         let mut slice_cols: Vec<Vec<Option<f64>>> = vec![Vec::new(); slice_members.len()];
-        for (row, &key) in left_keys.iter().enumerate() {
+        for (row, &key) in left.table.keys().iter().enumerate() {
             let base = left.layout.clear_component(key, component);
             let mut any = false;
             let mut values: Vec<Option<f64>> = Vec::with_capacity(slice_members.len());
             for &member in slice_members {
                 let mut nb_key = base;
                 left.layout.pack_component(&mut nb_key, component, member);
-                let v = right_table.lookup(&nb_key).map(|slot| right_table.value(midx, slot));
+                let v = right.table.lookup(&nb_key).map(|slot| right.table.value(midx, slot));
                 any |= v.is_some();
                 values.push(v);
             }
@@ -800,33 +897,12 @@ impl Engine {
                 col.push(v);
             }
         }
-
-        let mut coord_cols: Vec<Vec<MemberId>> =
-            (0..left.group_by.arity()).map(|_| Vec::with_capacity(kept_rows.len())).collect();
-        for &row in &kept_rows {
-            for (c, col) in coord_cols.iter_mut().enumerate() {
-                col.push(left.layout.unpack_component(left_keys[row], c));
-            }
-        }
-        let mut columns: Vec<CubeColumn> = Vec::new();
-        for (name, col) in left.measures.iter().zip(left_cols.iter()) {
-            let data: Vec<f64> = kept_rows.iter().map(|&row| col[row]).collect();
-            columns.push(CubeColumn::Numeric(NumericColumn::dense(name.clone(), data)));
-        }
-        for (name, col) in column_names.iter().zip(slice_cols) {
-            columns.push(CubeColumn::Numeric(NumericColumn::nullable(name.clone(), col)));
-        }
-        let mut cube = DerivedCube::from_parts(left.schema, left.group_by, coord_cols, columns)?;
-        cube.sort_by_coordinates();
-        self.gov_charge_cells(cube.len())?;
-        Ok(GetOutcome {
-            cube,
-            used_view: left.used_view,
-            rows_scanned,
-            parallelism,
-            morsels,
-            per_shard,
-        })
+        let extra = column_names
+            .iter()
+            .zip(slice_cols)
+            .map(|(name, col)| CubeColumn::Numeric(NumericColumn::nullable(name.clone(), col)))
+            .collect();
+        self.charge_cells(left.emit(Some(&kept_rows), extra)?)
     }
 
     /// Executes one widened cube query and pivots it **inside the engine** —
@@ -867,15 +943,9 @@ impl Engine {
             EngineError::InvalidPivot(format!("measure `{measure}` not in the query"))
         })?;
 
-        let layout = internal.layout;
-        let used_view = internal.used_view;
-        let rows_scanned = internal.rows_scanned;
-        let parallelism = internal.parallelism;
-        let morsels = internal.morsels;
-        let per_shard = internal.per_shard.clone();
         // Probe the group table directly for neighbor slices — the pivot
         // needs no additional index.
-        let table = &internal.table;
+        let (layout, table) = (&internal.layout, &internal.table);
         let mut out_rows: Vec<usize> = Vec::new();
         let mut neighbor_cols: Vec<Vec<Option<f64>>> = vec![Vec::new(); neighbors.len()];
         for (slot, &key) in table.keys().iter().enumerate() {
@@ -890,60 +960,32 @@ impl Engine {
                 neighbor_cols[j].push(table.lookup(&nb_key).map(|s| table.value(midx, s)));
             }
         }
-        let (keys, cols) = internal.table.finish();
-
-        let mut coord_cols: Vec<Vec<MemberId>> =
-            (0..internal.group_by.arity()).map(|_| Vec::with_capacity(out_rows.len())).collect();
-        for &slot in &out_rows {
-            for (c, col) in coord_cols.iter_mut().enumerate() {
-                col.push(layout.unpack_component(keys[slot], c));
-            }
-        }
-        let mut columns: Vec<CubeColumn> = Vec::new();
-        for (name, col) in internal.measures.iter().zip(cols.iter()) {
-            let data: Vec<f64> = out_rows.iter().map(|&s| col[s]).collect();
-            columns.push(CubeColumn::Numeric(NumericColumn::dense(name.clone(), data)));
-        }
-        for (name, col) in neighbor_names.iter().zip(neighbor_cols) {
-            columns.push(CubeColumn::Numeric(NumericColumn::nullable(name.clone(), col)));
-        }
-        let mut cube =
-            DerivedCube::from_parts(internal.schema, internal.group_by, coord_cols, columns)?;
-        cube.sort_by_coordinates();
-        self.gov_charge_cells(cube.len())?;
-        Ok(GetOutcome { cube, used_view, rows_scanned, parallelism, morsels, per_shard })
+        let extra = neighbor_names
+            .iter()
+            .zip(neighbor_cols)
+            .map(|(name, col)| CubeColumn::Numeric(NumericColumn::nullable(name.clone(), col)))
+            .collect();
+        self.charge_cells(internal.emit(Some(&out_rows), extra)?)
     }
 
     /// Estimates the cost of a `get` without running it: the rows the chosen
     /// access path will scan, the filter selectivity, and the expected
     /// result cardinality. Used by the cost-based strategy chooser.
     pub fn estimate_get(&self, q: &CubeQuery) -> Result<GetEstimate, EngineError> {
-        let binding = self.catalog.binding(&q.cube)?;
-        let schema = binding.schema().clone();
-        q.validate(&schema)?;
-        let ops: Vec<AggOp> = q
-            .measures
-            .iter()
-            .map(|m| schema.require_measure(m).map(|d| d.agg()))
-            .collect::<Result<_, _>>()?;
-        let pred_levels: Vec<(usize, usize)> =
-            q.predicates.iter().map(|p| (p.hierarchy, p.level)).collect();
+        let plan = GetPlan::new(self.catalog.binding(&q.cube)?, q)?;
+        let schema = &plan.schema;
         // When sharded the coordinator's fact table is empty by design; the
         // estimate counts rows across the shard set instead.
         let fact_rows = match &self.shards {
-            Some(set) => set.total_rows(binding.fact_table())?,
-            None => self.catalog.table(binding.fact_table())?.n_rows(),
+            Some(set) => set.total_rows(plan.binding.fact_table())?,
+            None => self.catalog.table(plan.binding.fact_table())?.n_rows(),
         };
-        let (rows, from_view) = if self.config.use_views && ops.iter().all(|op| *op == AggOp::Sum) {
-            match self.catalog.best_view(&q.group_by, &pred_levels, &q.measures) {
-                Some(view) => (view.len(), true),
-                None => (fact_rows, false),
-            }
-        } else {
-            (fact_rows, false)
+        let (rows, from_view) = match self.view_for(q, &plan) {
+            Some(view) => (view.len(), true),
+            None => (fact_rows, false),
         };
         let carrier: Vec<Option<usize>> = vec![Some(0); schema.hierarchies().len()];
-        let selectivity = CompiledFilter::compile(&schema, &q.predicates, &carrier)
+        let selectivity = CompiledFilter::compile(schema, &q.predicates, &carrier)
             .map(|f| f.estimated_selectivity())
             .unwrap_or(1.0);
         // Group-by slot capacity: the product of the level cardinalities of
@@ -964,62 +1006,50 @@ impl Engine {
         Ok(GetEstimate { rows_scanned: rows, from_view, selectivity, cells })
     }
 
+    /// The materialized view answering `q`, when views are enabled and
+    /// every measure sums (views store finalized sums).
+    fn view_for(&self, q: &CubeQuery, plan: &GetPlan) -> Option<Arc<MaterializedAggregate>> {
+        if !self.config.use_views || plan.ops.iter().any(|op| *op != AggOp::Sum) {
+            return None;
+        }
+        let pred_levels: Vec<(usize, usize)> =
+            q.predicates.iter().map(|p| (p.hierarchy, p.level)).collect();
+        self.catalog.best_view(&q.group_by, &pred_levels, &q.measures)
+    }
+
     /// Runs a get into the internal packed representation.
     fn run_get(&self, q: &CubeQuery) -> Result<GetInternal, EngineError> {
-        self.run_planned(q, self.plan_get(q)?)
+        self.run_planned(q, &self.plan_get(q)?)
     }
 
     /// Validates a get and lays out its packed group-by key.
     fn plan_get(&self, q: &CubeQuery) -> Result<GetPlan, EngineError> {
         self.gov_check()?;
-        let binding = self.catalog.binding(&q.cube)?;
-        let schema = binding.schema().clone();
-        q.validate(&schema)?;
-        let ops: Vec<AggOp> = q
-            .measures
-            .iter()
-            .map(|m| schema.require_measure(m).map(|d| d.agg()))
-            .collect::<Result<_, _>>()?;
-
-        let cardinalities: Vec<usize> = q
-            .group_by
-            .included_hierarchies()
-            .map(|(hi, li)| {
-                schema.hierarchy(hi).and_then(|h| h.level(li)).map(|l| l.cardinality()).unwrap_or(0)
-            })
-            .collect();
-        let layout = KeyLayout::for_cardinalities(&cardinalities);
-        Ok(GetPlan { binding, schema, ops, layout })
+        GetPlan::new(self.catalog.binding(&q.cube)?, q)
     }
 
     /// Runs a planned get; its key must pack into a machine word.
-    fn run_planned(&self, q: &CubeQuery, plan: GetPlan) -> Result<GetInternal, EngineError> {
-        let GetPlan { binding, schema, ops, layout } = plan;
-        if !layout.fits_u64() {
+    fn run_planned(&self, q: &CubeQuery, plan: &GetPlan) -> Result<GetInternal, EngineError> {
+        if !plan.layout.fits_u64() {
             return Err(EngineError::Unsupported(format!(
                 "group-by key needs {} bits; wide keys are not supported by the fused engine paths",
-                layout.total_bits()
+                plan.layout.total_bits()
             )));
         }
 
         // Scatter-gather: a coordinator fans the scan/aggregate stage out
         // to its shards and merges the partials in ascending shard order.
         if let Some(set) = &self.shards {
-            let set = set.clone();
-            return self.run_get_sharded(q, &schema, &layout, &ops, &set);
+            return self.run_get_sharded(q, plan, set);
         }
 
         // Try the materialized-view path first.
-        if self.config.use_views && ops.iter().all(|op| *op == AggOp::Sum) {
-            let pred_levels: Vec<(usize, usize)> =
-                q.predicates.iter().map(|p| (p.hierarchy, p.level)).collect();
-            if let Some(view) = self.catalog.best_view(&q.group_by, &pred_levels, &q.measures) {
-                self.fault(FaultSite::ViewMatch)?;
-                return self.get_from_view(q, &schema, &layout, &ops, &view);
-            }
+        if let Some(view) = self.view_for(q, plan) {
+            self.fault(FaultSite::ViewMatch)?;
+            return self.get_from_view(q, plan, &view);
         }
 
-        self.get_from_fact(q, &schema, &layout, &ops, &binding)
+        self.get_from_fact(q, plan)
     }
 
     /// The coordinator side of a scatter-gather `get`: runs the planned
@@ -1032,12 +1062,10 @@ impl Engine {
     fn run_get_sharded(
         &self,
         q: &CubeQuery,
-        schema: &Arc<CubeSchema>,
-        layout: &KeyLayout,
-        ops: &[AggOp],
+        plan: &GetPlan,
         set: &ShardSet,
     ) -> Result<GetInternal, EngineError> {
-        let mut table: GroupTable<u64> = GroupTable::new(ops);
+        let mut table: GroupTable<u64> = GroupTable::new(&plan.ops);
         let mut per_shard: Vec<ShardScan> = Vec::with_capacity(set.len());
         let mut used_view: Option<String> = None;
         let mut views_agree = true;
@@ -1049,11 +1077,11 @@ impl Engine {
                     let internal = sub.run_get(q)?;
                     let scan = ShardScan {
                         shard: i,
-                        rows_scanned: internal.rows_scanned,
-                        parallelism: internal.parallelism,
-                        morsels: internal.morsels,
+                        rows_scanned: internal.scan.rows_scanned,
+                        parallelism: internal.scan.parallelism,
+                        morsels: internal.scan.morsels,
                     };
-                    (internal.table, scan, internal.used_view)
+                    (internal.table, scan, internal.scan.used_view)
                 }
                 Shard::Remote(t) => {
                     let budget = self.shard_budget();
@@ -1078,21 +1106,14 @@ impl Engine {
             table.merge(partial);
             per_shard.push(scan);
         }
-        let rows_scanned = per_shard.iter().map(|s| s.rows_scanned).sum();
-        let parallelism = per_shard.iter().map(|s| s.parallelism).max().unwrap_or(1);
-        let morsels = per_shard.iter().map(|s| s.morsels).sum();
-        Ok(GetInternal {
-            schema: schema.clone(),
-            group_by: q.group_by.clone(),
-            layout: layout.clone(),
-            table,
-            measures: q.measures.clone(),
+        let scan = ScanStats {
             used_view: if views_agree { used_view } else { None },
-            rows_scanned,
-            parallelism,
-            morsels,
+            rows_scanned: per_shard.iter().map(|s| s.rows_scanned).sum(),
+            parallelism: per_shard.iter().map(|s| s.parallelism).max().unwrap_or(1),
+            morsels: per_shard.iter().map(|s| s.morsels).sum(),
             per_shard,
-        })
+        };
+        Ok(GetInternal::new(plan, q, table, scan))
     }
 
     /// The remaining budget to forward with a remote shard request.
@@ -1110,8 +1131,8 @@ impl Engine {
     /// aggregate — the shard-node side of scatter-gather execution (the
     /// serve layer exposes this as the `partial` protocol operation).
     pub fn get_partial(&self, q: &CubeQuery) -> Result<ShardPartial, EngineError> {
-        let internal = self.run_get(q)?;
-        let GetInternal { table, used_view, rows_scanned, parallelism, morsels, .. } = internal;
+        let GetInternal { table, scan, .. } = self.run_get(q)?;
+        let ScanStats { used_view, rows_scanned, parallelism, morsels, .. } = scan;
         let (keys, accs) = table.into_raw();
         Ok(ShardPartial { keys, accs, used_view, rows_scanned, parallelism, morsels })
     }
@@ -1119,12 +1140,11 @@ impl Engine {
     fn get_from_view(
         &self,
         q: &CubeQuery,
-        schema: &Arc<CubeSchema>,
-        layout: &KeyLayout,
-        ops: &[AggOp],
+        plan: &GetPlan,
         view: &Arc<MaterializedAggregate>,
     ) -> Result<GetInternal, EngineError> {
         self.fault(FaultSite::DictLookup)?;
+        let schema = &plan.schema;
         let filter = CompiledFilter::compile(schema, &q.predicates, view.group_by().slots())?;
         // Per included hierarchy of the query: the view coordinate component
         // and the roll-up map from the view's level to the query's level.
@@ -1164,8 +1184,8 @@ impl Engine {
             masks,
             keys,
             measures,
-            layout: layout.clone(),
-            ops: ops.to_vec(),
+            layout: plan.layout.clone(),
+            ops: plan.ops.clone(),
         })?;
         self.metrics.record_scan(
             ScanPath::View,
@@ -1173,70 +1193,15 @@ impl Engine {
             run.morsels as u64,
             run.parallelism as u64,
         );
-        Ok(GetInternal {
-            schema: schema.clone(),
-            group_by: q.group_by.clone(),
-            layout: layout.clone(),
-            table: run.table,
-            measures: q.measures.clone(),
-            used_view: Some(view.name().to_string()),
-            rows_scanned: n,
-            parallelism: run.parallelism,
-            morsels: run.morsels,
-            per_shard: Vec::new(),
-        })
+        let scan =
+            ScanStats { used_view: Some(view.name().to_string()), ..ScanStats::local(n, &run) };
+        Ok(GetInternal::new(plan, q, run.table, scan))
     }
 
-    fn get_from_fact(
-        &self,
-        q: &CubeQuery,
-        schema: &Arc<CubeSchema>,
-        layout: &KeyLayout,
-        ops: &[AggOp],
-        binding: &olap_storage::CubeBinding,
-    ) -> Result<GetInternal, EngineError> {
-        let fact = self.catalog.table(binding.fact_table())?;
+    fn get_from_fact(&self, q: &CubeQuery, plan: &GetPlan) -> Result<GetInternal, EngineError> {
+        let fact = self.catalog.table(plan.binding.fact_table())?;
         self.fault(FaultSite::DictLookup)?;
-        let carrier: Vec<Option<usize>> = vec![Some(0); schema.hierarchies().len()];
-        let filter = CompiledFilter::compile(schema, &q.predicates, &carrier)?;
-
-        // Resolve and type-check every column up front (borrowing, never
-        // copying measure columns per query), so workers can index into
-        // chunks infallibly. Foreign keys may be plain `i64` or encoded
-        // key columns — both decode into the same flat lanes.
-        let mut lane_cols: Vec<usize> = Vec::new();
-        let mut masks: Vec<(usize, Arc<[bool]>)> = Vec::new();
-        for m in filter.masks() {
-            let idx = fact.require_key_like(binding.fk_column(m.hierarchy))?;
-            masks.push((lane_slot(&mut lane_cols, idx), m.mask.clone()));
-        }
-        let mut keys: Vec<(usize, Vec<u32>)> = Vec::new();
-        for (hi, li) in q.group_by.included_hierarchies() {
-            let idx = fact.require_key_like(binding.fk_column(hi))?;
-            let h = schema.hierarchy(hi).expect("hierarchy in range");
-            let roll: Vec<u32> = h.composed_map(0, li)?.iter().map(|m| m.0).collect();
-            keys.push((lane_slot(&mut lane_cols, idx), roll));
-        }
-        let mut measures: Vec<usize> = Vec::new();
-        for m in &q.measures {
-            let col_name = binding.measure_column_by_name(m).ok_or_else(|| {
-                EngineError::Model(olap_model::ModelError::UnknownMeasure(m.clone()))
-            })?;
-            fact.numeric_slice(col_name).map_err(|_| {
-                EngineError::Unsupported(format!("measure column `{col_name}` is not numeric"))
-            })?;
-            measures.push(fact.column_index(col_name).expect("numeric_slice checked existence"));
-        }
-
-        let ctx = ScanCtx {
-            source: ScanSource::Fact(fact.clone()),
-            lane_cols,
-            masks,
-            keys,
-            measures,
-            layout: layout.clone(),
-            ops: ops.to_vec(),
-        };
+        let ctx = ScanCtx::for_fact(plan, q, &fact, 0..fact.n_rows())?;
 
         // Index fast path: a highly selective point predicate on a finest
         // level (e.g. `store = 'SmartMart'`) fetches the matching rows from
@@ -1246,7 +1211,7 @@ impl Engine {
         // `CHECK_INTERVAL` at a time, into the same lanes and kernels as a
         // morsel scan.
         if self.config.use_indexes {
-            if let Some(rows) = self.index_row_set(q, &fact, binding)? {
+            if let Some(rows) = self.index_row_set(q, &fact, &plan.binding)? {
                 self.gov_charge_rows(rows.len())?;
                 let mut table = ctx.new_table();
                 let mut scratch = MorselScratch::default();
@@ -1255,18 +1220,9 @@ impl Engine {
                     ctx.process_rows(&fact, batch, &mut scratch, &mut table);
                 }
                 self.metrics.record_scan(ScanPath::Index, rows.len() as u64, 0, 1);
-                return Ok(GetInternal {
-                    schema: schema.clone(),
-                    group_by: q.group_by.clone(),
-                    layout: layout.clone(),
-                    table,
-                    measures: q.measures.clone(),
-                    used_view: None,
-                    rows_scanned: rows.len(),
-                    parallelism: 1,
-                    morsels: 0,
-                    per_shard: Vec::new(),
-                });
+                let scan =
+                    ScanStats { rows_scanned: rows.len(), parallelism: 1, ..ScanStats::default() };
+                return Ok(GetInternal::new(plan, q, table, scan));
             }
         }
 
@@ -1280,18 +1236,8 @@ impl Engine {
             run.morsels as u64,
             run.parallelism as u64,
         );
-        Ok(GetInternal {
-            schema: schema.clone(),
-            group_by: q.group_by.clone(),
-            layout: layout.clone(),
-            table: run.table,
-            measures: q.measures.clone(),
-            used_view: None,
-            rows_scanned: n,
-            parallelism: run.parallelism,
-            morsels: run.morsels,
-            per_shard: Vec::new(),
-        })
+        let scan = ScanStats::local(n, &run);
+        Ok(GetInternal::new(plan, q, run.table, scan))
     }
 
     /// The fact rows selected by an indexable point predicate, when one
@@ -1348,40 +1294,6 @@ fn check_joinable(left: &GetInternal, right: &GetInternal) -> Result<(), EngineE
         ));
     }
     Ok(())
-}
-
-/// Materializes the internal representation into a sorted derived cube.
-fn materialize(internal: GetInternal) -> GetOutcome {
-    let GetInternal {
-        schema,
-        group_by,
-        layout,
-        table,
-        measures,
-        used_view,
-        rows_scanned,
-        parallelism,
-        morsels,
-        per_shard,
-    } = internal;
-    let (keys, cols) = table.finish();
-    let arity = group_by.arity();
-    let mut coord_cols: Vec<Vec<MemberId>> =
-        (0..arity).map(|_| Vec::with_capacity(keys.len())).collect();
-    for &key in &keys {
-        for (c, col) in coord_cols.iter_mut().enumerate() {
-            col.push(layout.unpack_component(key, c));
-        }
-    }
-    let columns: Vec<CubeColumn> = measures
-        .iter()
-        .zip(cols)
-        .map(|(name, data)| CubeColumn::Numeric(NumericColumn::dense(name.clone(), data)))
-        .collect();
-    let mut cube = DerivedCube::from_parts(schema, group_by, coord_cols, columns)
-        .expect("engine-produced columns are consistent");
-    cube.sort_by_coordinates();
-    GetOutcome { cube, used_view, rows_scanned, parallelism, morsels, per_shard }
 }
 
 /// Convenience used by tests and the assess runtime: the coordinate of a

@@ -6,14 +6,17 @@
 //! ([`KeyLayout::fits_u64`]) the engine packs the member ids into a single
 //! `u64`, component `c` at bit offset [`KeyLayout::shift`]`(c)`; the
 //! aggregation kernel builds a whole lane of such keys per morsel with one
-//! `key |= roll[code] << shift` loop per component. Otherwise `get` falls
-//! back to boxed wide keys (`crate::wide`). The layout also unpacks keys
-//! back into member ids when materializing result coordinates.
+//! `key |= roll[code] << shift` loop per component. Otherwise `get` and
+//! view maintenance fall back to boxed wide keys (`crate::wide`). The
+//! layout also packs a stored view's coordinates into the group table an
+//! append merges into, and unpacks keys back into member ids when the
+//! engine emits result coordinates.
 //!
-//! Every map keyed by packed keys — group tables, the view index of append
-//! maintenance — hashes with [`FoldHasher`], a multiply-and-fold hasher:
-//! packed keys are member ids drawn from validated, bounded domains, so
-//! SipHash's flooding resistance buys little and costs most of a probe.
+//! Every map keyed by group keys is a group table, and every group table —
+//! of a morsel, a shard, or a view merged on append — hashes with
+//! [`FoldHasher`], a multiply-and-fold hasher: packed keys are member ids
+//! drawn from validated, bounded domains, so SipHash's flooding resistance
+//! buys little and costs most of a probe.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

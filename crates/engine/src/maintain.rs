@@ -8,30 +8,51 @@
 //!
 //! ## View maintenance policy
 //!
-//! For every view in the catalog:
+//! A view is the cube query "its measures, grouped by its group-by set"
+//! over its recorded [`source`](MaterializedAggregate::source) cube. For
+//! every view in the catalog:
 //!
-//! * its recorded [`source`](MaterializedAggregate::source) cube resolves
-//!   to a binding over the appended fact table → the view is maintained:
-//!   **merged** when every one of its measures aggregates distributively
-//!   (sum/count/min/max) and its group-by key packs into a machine word,
-//!   **rebuilt** from the full fact table otherwise;
-//! * its source resolves to a binding over a *different* fact table → the
+//! * the source resolves to a binding over the appended fact table, and
+//!   the view's query resolves against the grown table → the view is
+//!   maintained: **merged** when every one of its measures aggregates
+//!   distributively (sum/count/min/max) and its group-by key packs into a
+//!   machine word, **rebuilt** from the full grown table otherwise;
+//! * the source resolves to a binding over a *different* fact table → the
 //!   view is untouched;
-//! * its provenance cannot be resolved (no source recorded, unknown
-//!   source cube, or columns that no longer line up) → the view is
-//!   **dropped**: a view that cannot be re-derived must not keep serving
-//!   stale aggregates after its underlying data may have grown.
+//! * the provenance cannot be resolved (no source recorded, unknown source
+//!   cube, or columns that no longer line up) → the view is **dropped**: a
+//!   view that cannot be re-derived must not keep serving stale aggregates
+//!   after its underlying data may have grown.
+//!
+//! ## One path with queries
+//!
+//! Maintenance has no scan, merge or emitter of its own. The view's query
+//! resolves through the query path's fact-scan builder over the grown,
+//! uncommitted table — the delta's rows for a merge, all rows for a
+//! rebuild — and runs through `Engine::run_scan` under the engine's
+//! governor and fault injector, so a cancelled, expired or faulted append
+//! fails and commits nothing. A merge packs the view's rows into a group
+//! table of raw sum/count/min/max state (for those operators the stored
+//! value *is* the state) and folds the delta's partial aggregate into it
+//! with `GroupTable::merge`, the merge morsels and shards use. Views store
+//! finalized values, so an Avg view (sum and count folded into a quotient)
+//! rebuilds; a view whose key does not pack into a word rebuilds through
+//! the wide fallback (`crate::wide`). Every result leaves through the
+//! engine's one emitter, in the coordinate order `Engine::get` produces,
+//! and [`Engine::build_view`] materializes a fresh view through the same
+//! function. Maintenance charges no row or cell budget and records no scan
+//! counters: `appends`, `mview_delta_merges` and `mview_rebuilds` are its
+//! record.
 //!
 //! ## Determinism
 //!
-//! Both the delta scan and the rebuild scan run through the same
-//! morsel-driven pipeline as queries ([`run_morsels`]), so partial
-//! aggregates merge in morsel order and maintenance is byte-identical at
-//! every thread count. Maintained views are kept **coordinate-sorted**
-//! (the order `Engine::get` materializes), so a merged view is
-//! bit-comparable to one rebuilt from scratch; merged sums equal rebuilt
-//! sums exactly whenever measure values are integer-valued (exact f64
-//! addition), which the bundled datasets guarantee.
+//! Both the delta scan and the rebuild scan are morsel-driven scans, so
+//! partial aggregates merge in morsel order (morsels numbered from the
+//! start of the scanned range) and maintenance is byte-identical at every
+//! thread count. A merged view is bit-comparable to one rebuilt from
+//! scratch; merged sums equal rebuilt sums exactly whenever measure values
+//! are integer-valued (exact f64 addition), which the bundled datasets
+//! guarantee.
 //!
 //! ## Concurrency
 //!
@@ -44,16 +65,12 @@
 
 use std::sync::Arc;
 
-use olap_model::{AggOp, Coordinate, MemberId};
-use olap_storage::{
-    Column, CubeBinding, Delta, KeyAccess, MaterializedAggregate, NumericSlice, StorageError, Table,
-};
+use olap_model::{CubeColumn, CubeQuery, GroupBySet};
+use olap_storage::{Column, CubeBinding, Delta, MaterializedAggregate, StorageError, Table};
 
-use crate::aggregate::{accumulate_chunk, GroupTable};
-use crate::engine::Engine;
+use crate::aggregate::{Accumulator, GroupTable};
+use crate::engine::{Engine, GetInternal, GetPlan, ScanCtx, ScanStats};
 use crate::error::EngineError;
-use crate::key::{FoldMap, KeyLayout};
-use crate::pool::{run_morsels, MorselScan, MorselScratch, WorkerPool};
 
 /// Attempts before a repeatedly lost commit race is surfaced to the caller.
 const MAX_COMMIT_ATTEMPTS: usize = 4;
@@ -98,7 +115,7 @@ pub fn append(
         let base = engine.catalog().table(binding.fact_table())?;
         let appended = Arc::new(base.append_batch(batch)?);
         let delta = Delta::describe(binding.fact_table(), base.n_rows(), batch);
-        let plan = maintain_views(engine, cube, &binding, &appended, &delta)?;
+        let plan = maintain_views(engine, &appended, &delta)?;
         match engine.catalog().commit_append(&base, appended, plan.maintained, &plan.dropped, delta)
         {
             Ok(delta) => {
@@ -155,34 +172,22 @@ struct MaintenancePlan {
 /// module-level policy. `table` is the already-grown fact table.
 fn maintain_views(
     engine: &Engine,
-    cube: &str,
-    binding: &Arc<CubeBinding>,
     table: &Arc<Table>,
     delta: &Delta,
 ) -> Result<MaintenancePlan, EngineError> {
     let mut plan =
         MaintenancePlan { maintained: Vec::new(), dropped: Vec::new(), merged: 0, rebuilt: 0 };
     for view in engine.catalog().views() {
-        let vb = match view.source() {
-            Some(src) if src == cube => binding.clone(),
-            Some(src) => match engine.catalog().binding(src) {
-                Ok(b) => b,
-                Err(_) => {
-                    plan.dropped.push(view.name().to_string());
-                    continue;
-                }
-            },
-            None => {
-                plan.dropped.push(view.name().to_string());
-                continue;
-            }
+        let source = view.source().map(|src| (src, engine.catalog().binding(src)));
+        let Some((src, Ok(binding))) = source else {
+            plan.dropped.push(view.name().to_string());
+            continue;
         };
-        if vb.fact_table() != table.name() {
+        if binding.fact_table() != table.name() {
             continue; // aggregates a different fact table: unaffected
         }
-        match resolve(&vb, &view, table) {
-            Some(r) => {
-                let (maintained, merged) = maintain_one(engine, &view, table, delta, r)?;
+        match maintain_one(engine, src, binding, &view, table, delta)? {
+            Some((maintained, merged)) => {
                 plan.maintained.push(maintained);
                 if merged {
                     plan.merged += 1;
@@ -196,312 +201,126 @@ fn maintain_views(
     Ok(plan)
 }
 
-/// A view's maintenance inputs, resolved against the grown fact table:
-/// fk column indexes + roll-up maps per group-by component, measure column
-/// indexes, aggregation operators and the packed key layout.
-struct Resolved {
-    keys: Vec<(usize, Vec<MemberId>)>,
-    measures: Vec<usize>,
-    ops: Vec<AggOp>,
-    layout: KeyLayout,
-}
-
-impl Resolved {
-    /// Whether the delta's partial aggregates can be merged into the
-    /// existing view directly: every operator distributive, packed keys.
-    fn mergeable(&self) -> bool {
-        self.layout.fits_u64()
-            && self
-                .ops
-                .iter()
-                .all(|op| matches!(op, AggOp::Sum | AggOp::Count | AggOp::Min | AggOp::Max))
-    }
-}
-
-/// Resolves a view against binding + table; `None` means the view cannot
-/// be re-derived (its columns or levels no longer line up) and must drop.
-fn resolve(binding: &CubeBinding, view: &MaterializedAggregate, table: &Table) -> Option<Resolved> {
-    let schema = binding.schema();
-    let mut keys = Vec::new();
-    let mut cardinalities = Vec::new();
-    for (hi, li) in view.group_by().included_hierarchies() {
-        let idx = table.column_index(binding.fk_column(hi))?;
-        if !table.columns()[idx].is_key_like() {
-            return None;
-        }
-        let h = schema.hierarchy(hi)?;
-        keys.push((idx, h.composed_map(0, li).ok()?));
-        cardinalities.push(h.level(li)?.cardinality());
-    }
-    let mut measures = Vec::new();
-    let mut ops = Vec::new();
-    for m in view.measure_names() {
-        let col = binding.measure_column_by_name(m)?;
-        let idx = table.column_index(col)?;
-        NumericSlice::from_column(&table.columns()[idx])?;
-        measures.push(idx);
-        ops.push(schema.require_measure(m).ok()?.agg());
-    }
-    Some(Resolved { keys, measures, ops, layout: KeyLayout::for_cardinalities(&cardinalities) })
-}
-
-/// Maintains one view: delta merge when possible, full rebuild otherwise.
-/// Returns the new view and whether it was merged (vs rebuilt).
+/// Maintains one view over the grown `table`: a delta merge when its
+/// stored rows are mergeable state, a full rebuild otherwise. Returns the
+/// new view and whether it was merged; `Ok(None)` means the view's query no
+/// longer resolves against its source and the view must drop, while a
+/// failed scan fails the append.
 fn maintain_one(
     engine: &Engine,
+    src: &str,
+    binding: Arc<CubeBinding>,
     view: &MaterializedAggregate,
     table: &Arc<Table>,
     delta: &Delta,
-    r: Resolved,
-) -> Result<(MaterializedAggregate, bool), EngineError> {
-    if r.mergeable() {
-        let scan = RangeScan {
-            table: table.clone(),
-            start: delta.start_row(),
-            rows: delta.rows(),
-            keys: code_rolls(&r.keys),
-            measures: r.measures,
-            layout: r.layout.clone(),
-            ops: r.ops.clone(),
-        };
-        let partial = run_range(engine, scan)?;
-        Ok((merge(view, partial, &r.layout, &r.ops)?, true))
-    } else if r.layout.fits_u64() {
-        let scan = RangeScan {
-            table: table.clone(),
-            start: 0,
-            rows: table.n_rows(),
-            keys: code_rolls(&r.keys),
-            measures: r.measures,
-            layout: r.layout.clone(),
-            ops: r.ops.clone(),
-        };
-        let rebuilt = run_range(engine, scan)?;
-        let (keys, cols) = rebuilt.finish();
-        let arity = view.group_by().arity();
-        let mut coords: Vec<Vec<MemberId>> =
-            (0..arity).map(|_| Vec::with_capacity(keys.len())).collect();
-        for &key in &keys {
-            for (c, col) in coords.iter_mut().enumerate() {
-                col.push(r.layout.unpack_component(key, c));
-            }
-        }
-        Ok((sorted_view(view, coords, cols)?, false))
-    } else {
-        Ok((rebuild_wide(view, table, &r)?, false))
-    }
+) -> Result<Option<(MaterializedAggregate, bool)>, EngineError> {
+    let q = CubeQuery::new(src, view.group_by().clone(), vec![], view.measure_names().to_vec());
+    let Ok(plan) = GetPlan::new(binding, &q) else {
+        return Ok(None);
+    };
+    let base = stored_state(view, &plan);
+    let rows = match base {
+        Some(_) => delta.start_row()..delta.start_row() + delta.rows(),
+        None => 0..table.n_rows(),
+    };
+    let Ok(ctx) = ScanCtx::for_fact(&plan, &q, table, rows) else {
+        return Ok(None);
+    };
+    let merged = base.is_some();
+    Ok(Some((build(engine, view.name(), &plan, &q, ctx, base)?, merged)))
 }
 
-/// Merges a delta partial aggregate into the existing view's rows:
-/// matching coordinates fold per operator, unseen coordinates append, and
-/// the result re-sorts to the engine's canonical coordinate order.
-fn merge(
-    view: &MaterializedAggregate,
-    partial: GroupTable<u64>,
-    layout: &KeyLayout,
-    ops: &[AggOp],
-) -> Result<MaterializedAggregate, EngineError> {
-    let arity = view.group_by().arity();
-    let mut coords: Vec<Vec<MemberId>> = view.coord_cols().to_vec();
-    let mut measures: Vec<Vec<f64>> = (0..view.measure_names().len())
-        .map(|i| view.measure_at(i).expect("measure count checked at construction").to_vec())
-        .collect();
-    let mut index: FoldMap<u64, usize> =
-        FoldMap::with_capacity_and_hasher(view.len(), Default::default());
-    for row in 0..view.len() {
-        let mut key = 0u64;
-        for (comp, col) in coords.iter().enumerate() {
-            layout.pack_component(&mut key, comp, col[row]);
-        }
-        index.insert(key, row);
+/// The view's rows as a group table of raw accumulator state, or `None`
+/// when they cannot seed a merge: a key that does not pack into a word, or
+/// a measure whose stored value is not its own state (Avg).
+fn stored_state(view: &MaterializedAggregate, plan: &GetPlan) -> Option<GroupTable<u64>> {
+    if !plan.layout.fits_u64() {
+        return None;
     }
-    let (keys, cols) = partial.finish();
-    for (slot, &key) in keys.iter().enumerate() {
-        match index.get(&key) {
-            Some(&row) => {
-                for (op, (col, delta_col)) in ops.iter().zip(measures.iter_mut().zip(&cols)) {
-                    let d = delta_col[slot];
-                    col[row] = match op {
-                        AggOp::Sum | AggOp::Count => col[row] + d,
-                        AggOp::Min => col[row].min(d),
-                        AggOp::Max => col[row].max(d),
-                        AggOp::Avg => unreachable!("avg views take the rebuild path"),
-                    };
-                }
-            }
-            None => {
-                for (c, col) in coords.iter_mut().enumerate().take(arity) {
-                    col.push(layout.unpack_component(key, c));
-                }
-                for (col, delta_col) in measures.iter_mut().zip(&cols) {
-                    col.push(delta_col[slot]);
-                }
-            }
-        }
-    }
-    sorted_view(view, coords, measures)
-}
-
-/// Full rebuild with boxed coordinate keys, for group-by sets whose packed
-/// key exceeds a machine word. Serial, like the engine's wide query path.
-fn rebuild_wide(
-    view: &MaterializedAggregate,
-    table: &Table,
-    r: &Resolved,
-) -> Result<MaterializedAggregate, EngineError> {
-    let key_cols: Vec<(KeyAccess<'_>, &[MemberId])> = r
-        .keys
+    let accs = plan
+        .ops
         .iter()
-        .map(|(idx, roll)| {
-            (table.columns()[*idx].key_access().expect("resolved fk column"), roll.as_slice())
+        .enumerate()
+        .map(|(i, op)| Accumulator::from_finalized(*op, view.measure_at(i)?.to_vec()))
+        .collect::<Option<Vec<_>>>()?;
+    let keys = (0..view.len())
+        .map(|row| {
+            let mut key = 0u64;
+            for (c, col) in view.coord_cols().iter().enumerate() {
+                plan.layout.pack_component(&mut key, c, col[row]);
+            }
+            key
         })
         .collect();
-    let measure_slices: Vec<NumericSlice<'_>> = r
-        .measures
-        .iter()
-        .map(|idx| NumericSlice::from_column(&table.columns()[*idx]).expect("resolved measure"))
-        .collect();
-    let mut out: GroupTable<Coordinate> = GroupTable::new(&r.ops);
-    let mut key_buf: Vec<MemberId> = vec![MemberId(0); key_cols.len()];
-    let mut values = vec![0.0f64; measure_slices.len()];
-    for row in 0..table.n_rows() {
-        for (slot, (fks, roll)) in key_buf.iter_mut().zip(&key_cols) {
-            *slot = roll[fks.get(row) as usize];
-        }
-        for (v, m) in values.iter_mut().zip(&measure_slices) {
-            *v = m.get(row);
-        }
-        out.update(Coordinate::new(key_buf.clone()), &values);
-    }
-    let (keys, cols) = out.finish();
-    let arity = view.group_by().arity();
-    let mut coords: Vec<Vec<MemberId>> =
-        (0..arity).map(|_| Vec::with_capacity(keys.len())).collect();
-    for key in &keys {
-        for (c, col) in coords.iter_mut().enumerate() {
-            col.push(key.members()[c]);
-        }
-    }
-    sorted_view(view, coords, cols)
+    Some(GroupTable::from_raw(keys, accs))
 }
 
-/// Assembles the maintained view, sorted lexicographically by coordinate —
-/// the same canonical order `Engine::get` materializes cubes in, so a
-/// merged view is byte-comparable to a rebuilt one.
-fn sorted_view(
-    view: &MaterializedAggregate,
-    mut coords: Vec<Vec<MemberId>>,
-    mut measures: Vec<Vec<f64>>,
+/// Builds view `name` of the query `q` from its resolved fact scan `ctx` —
+/// the one function that materializes a view, fresh, rebuilt or merged.
+/// A key that packs into a word scans through the morsel pipeline, folding
+/// the result into `base` (the view's stored state) when given; a wider key
+/// takes the wide fallback. The view records `q.cube` as its source.
+fn build(
+    engine: &Engine,
+    name: &str,
+    plan: &GetPlan,
+    q: &CubeQuery,
+    ctx: ScanCtx,
+    base: Option<GroupTable<u64>>,
 ) -> Result<MaterializedAggregate, EngineError> {
-    let n =
-        coords.first().map(Vec::len).unwrap_or_else(|| measures.first().map(Vec::len).unwrap_or(0));
-    let mut perm: Vec<usize> = (0..n).collect();
-    perm.sort_unstable_by(|&a, &b| {
-        for col in &coords {
-            match col[a].cmp(&col[b]) {
-                std::cmp::Ordering::Equal => {}
-                other => return other,
+    let cube = if plan.layout.fits_u64() {
+        let scanned = engine.run_scan(ctx)?.table;
+        let table = match base {
+            Some(mut base) => {
+                base.merge(scanned);
+                base
             }
-        }
-        std::cmp::Ordering::Equal
-    });
-    for col in coords.iter_mut() {
-        *col = perm.iter().map(|&i| col[i]).collect();
-    }
-    for col in measures.iter_mut() {
-        *col = perm.iter().map(|&i| col[i]).collect();
-    }
-    let rebuilt = MaterializedAggregate::new(
-        view.name(),
-        view.group_by().clone(),
-        coords,
-        view.measure_names().to_vec(),
-        measures,
-    )
-    .map_err(EngineError::Storage)?;
-    Ok(match view.source() {
-        Some(src) => rebuilt.with_source(src),
-        None => rebuilt,
-    })
-}
-
-/// A morsel scan over a row range of a fact table, grouping by resolved
-/// fk columns through roll-up maps — the maintenance analogue of the
-/// engine's query scan context (no predicate masks: appends are total).
-/// Per morsel, fk columns decode into flat `u32` lanes of the scratch and
-/// measures convert to `f64` lanes, exactly like query scans.
-struct RangeScan {
-    table: Arc<Table>,
-    start: usize,
-    rows: usize,
-    /// Per group-by component: fk column index and the roll-up map as raw
-    /// member codes.
-    keys: Vec<(usize, Vec<u32>)>,
-    measures: Vec<usize>,
-    layout: KeyLayout,
-    ops: Vec<AggOp>,
-}
-
-/// Roll-up maps re-expressed as raw member codes for the lane kernels.
-fn code_rolls(keys: &[(usize, Vec<MemberId>)]) -> Vec<(usize, Vec<u32>)> {
-    keys.iter().map(|(idx, roll)| (*idx, roll.iter().map(|m| m.0).collect())).collect()
-}
-
-impl MorselScan for RangeScan {
-    fn n_rows(&self) -> usize {
-        self.rows
-    }
-
-    fn new_table(&self) -> GroupTable<u64> {
-        GroupTable::new(&self.ops)
-    }
-
-    fn process(
-        &self,
-        lo: usize,
-        hi: usize,
-        scratch: &mut MorselScratch,
-        out: &mut GroupTable<u64>,
-    ) -> Result<(), EngineError> {
-        let len = hi - lo;
-        let chunk = self.table.chunk(self.start + lo, len);
-        scratch.ensure_slots(self.keys.len(), self.measures.len());
-        let mut keys: Vec<(&[u32], &[u32])> = Vec::with_capacity(self.keys.len());
-        for ((idx, roll), buf) in self.keys.iter().zip(scratch.lanes.iter_mut()) {
-            let lane = chunk.key_lane(*idx, buf).expect("resolved fk column");
-            keys.push((lane, roll.as_slice()));
-        }
-        let mut measures: Vec<&[f64]> = Vec::with_capacity(self.measures.len());
-        for (idx, buf) in self.measures.iter().zip(scratch.vals.iter_mut()) {
-            measures.push(chunk.f64_lane(*idx, buf).expect("resolved measure column"));
-        }
-        accumulate_chunk(out, &mut scratch.group, &self.layout, len, None, &keys, &measures);
-        Ok(())
-    }
-}
-
-/// Drives a maintenance scan through the same morsel pipeline and sizing
-/// rules as query scans, so maintenance output is byte-identical at every
-/// thread count.
-fn run_range(engine: &Engine, scan: RangeScan) -> Result<GroupTable<u64>, EngineError> {
-    let n = scan.rows;
-    let morsel_rows = engine.config().morsel_rows.max(1);
-    let dop = if n < engine.config().parallel_threshold { 1 } else { engine.parallelism_cap() };
-    let ctx = Arc::new(scan);
-    let run = if dop <= 1 {
-        run_morsels(None, 1, morsel_rows, ctx, None, None)?
+            None => scanned,
+        };
+        GetInternal::new(plan, q, table, ScanStats::default()).emit(None, Vec::new())?.cube
     } else {
-        let pool = engine.worker_pool().cloned().unwrap_or_else(WorkerPool::global);
-        run_morsels(Some(&pool), dop, morsel_rows, ctx, None, None)?
+        crate::wide::get_wide(engine, plan, q, &ctx)?.cube
     };
-    Ok(run.table)
+    let measures = cube.columns().iter().filter_map(CubeColumn::as_numeric);
+    let view = MaterializedAggregate::new(
+        name,
+        q.group_by.clone(),
+        cube.coord_cols().to_vec(),
+        q.measures.clone(),
+        measures.map(|c| c.data.clone()).collect(),
+    )?;
+    Ok(view.with_source(q.cube.clone()))
+}
+
+impl Engine {
+    /// Materializes view `name` over `cube`'s committed fact table: its
+    /// `measures` grouped by `group_by`, with `cube` recorded as the source
+    /// so appends maintain it. The view is built by the function append
+    /// maintenance rebuilds views with, so a fresh view and a maintained one
+    /// are byte-identical; like maintenance, it charges no budget and
+    /// records no scan counters.
+    pub fn build_view(
+        &self,
+        cube: &str,
+        name: &str,
+        group_by: GroupBySet,
+        measures: Vec<String>,
+    ) -> Result<MaterializedAggregate, EngineError> {
+        let q = CubeQuery::new(cube, group_by, vec![], measures);
+        let plan = GetPlan::new(self.catalog().binding(cube)?, &q)?;
+        let fact = self.catalog().table(plan.binding.fact_table())?;
+        let ctx = ScanCtx::for_fact(&plan, &q, &fact, 0..fact.n_rows())?;
+        build(self, name, &plan, &q, ctx, None)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use olap_model::{CubeQuery, CubeSchema, GroupBySet, HierarchyBuilder, MeasureDef};
+    use olap_model::{
+        AggOp, CubeQuery, CubeSchema, GroupBySet, HierarchyBuilder, MeasureDef, MemberId,
+    };
     use olap_storage::binding::DimInfo;
     use olap_storage::{Catalog, CubeBinding};
 

@@ -216,7 +216,13 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Set the flag under the queue lock: a worker checks it under that
+        // lock before waiting, so the wakeup below cannot fall between its
+        // check and its wait and leave it (and this join) asleep forever.
+        {
+            let _queue = lock(&self.shared.queue);
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.work_cv.notify_all();
         for h in lock(&self.handles).drain(..) {
             let _ = h.join();

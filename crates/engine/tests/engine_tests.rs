@@ -2,7 +2,10 @@
 
 use std::sync::Arc;
 
-use olap_engine::{Engine, EngineConfig, JoinKind};
+use olap_engine::{
+    Engine, EngineConfig, EngineError, EngineMetrics, FaultInjector, FaultSite, JoinKind,
+    ResourceGovernor, ResourceKind,
+};
 use olap_model::{
     AggOp, CubeQuery, CubeSchema, GroupBySet, HierarchyBuilder, MeasureDef, Predicate,
 };
@@ -635,14 +638,17 @@ fn estimate_get_predicts_access_path_and_size() {
     assert_eq!(est.rows_scanned, base.cube.len());
 }
 
-#[test]
-fn wide_group_by_keys_fall_back_to_boxed_scan() {
-    // Five hierarchies of 8192 members each need 5 × 13 = 65 bits: one past
-    // the packed-key limit, forcing the wide path.
+/// Members per hierarchy of the `WIDE` cube.
+const CARD: usize = 8192;
+
+/// The `WIDE` cube: five hierarchies of [`CARD`] members each, so grouping
+/// by all of them needs 5 × 13 = 65 bits — one past the packed-key limit,
+/// forcing the wide path. Returns the catalog and the query grouping by
+/// every hierarchy's finest level.
+fn wide_catalog() -> (Arc<Catalog>, CubeQuery) {
     let mut hierarchies = Vec::new();
     let mut fk_cols = Vec::new();
     let mut dims = Vec::new();
-    const CARD: usize = 8192;
     for h in 0..5 {
         let mut b = HierarchyBuilder::new(format!("H{h}"), [format!("l{h}")]);
         for m in 0..CARD {
@@ -661,19 +667,28 @@ fn wide_group_by_keys_fall_back_to_boxed_scan() {
     // A handful of facts, two of them sharing every coordinate.
     let rows: Vec<[i64; 5]> =
         vec![[1, 2, 3, 4, 5], [1, 2, 3, 4, 5], [6, 7, 8, 9, 10], [8191, 0, 8191, 0, 8191]];
-    let mut columns: Vec<Column> = (0..5)
-        .map(|c| Column::i64(format!("fk{c}"), rows.iter().map(|r| r[c]).collect()))
-        .collect();
-    columns.push(Column::f64("m", vec![1.0, 2.0, 4.0, 8.0]));
-    let fact = Table::new("wide_fact", columns).unwrap();
+    let fact = Table::new("wide_fact", wide_columns(&rows, vec![1.0, 2.0, 4.0, 8.0])).unwrap();
     let binding = CubeBinding::new(schema.clone(), &fact, fk_cols, vec!["m".into()], dims).unwrap();
     let catalog = Arc::new(Catalog::new());
     catalog.register_table(fact);
     catalog.register_binding("WIDE", binding);
-    let engine = Engine::new(catalog);
+    let q = CubeQuery::new("WIDE", GroupBySet::top(&schema), vec![], vec!["m".into()]);
+    (catalog, q)
+}
 
-    let g = GroupBySet::top(&schema);
-    let q = CubeQuery::new("WIDE", g, vec![], vec!["m".into()]);
+/// Rows for the `WIDE` fact table: `fk0..fk4` and the measure `m`.
+fn wide_columns(rows: &[[i64; 5]], m: Vec<f64>) -> Vec<Column> {
+    let mut columns: Vec<Column> = (0..5)
+        .map(|c| Column::i64(format!("fk{c}"), rows.iter().map(|r| r[c]).collect()))
+        .collect();
+    columns.push(Column::f64("m", m));
+    columns
+}
+
+#[test]
+fn wide_group_by_keys_fall_back_to_boxed_scan() {
+    let (catalog, q) = wide_catalog();
+    let engine = Engine::new(catalog);
     let out = engine.get(&q).unwrap();
     assert_eq!(out.cube.len(), 3, "duplicate coordinates aggregate");
     let col = out.cube.numeric_column("m").unwrap();
@@ -708,4 +723,77 @@ fn wide_group_by_keys_fall_back_to_boxed_scan() {
     let set = Arc::new(olap_engine::ShardSet::local(scheme, shards).unwrap());
     let err = Engine::new(coordinator).with_shards(set).get(&q).unwrap_err();
     assert!(matches!(err, olap_engine::EngineError::Unsupported(_)));
+}
+
+#[test]
+fn wide_scans_charge_the_row_budget() {
+    let (catalog, q) = wide_catalog();
+    let governor = Arc::new(ResourceGovernor::unlimited().with_max_rows_scanned(1));
+    let err = Engine::new(catalog).with_governor(governor).get(&q).unwrap_err();
+    assert!(
+        matches!(err, EngineError::BudgetExceeded { resource: ResourceKind::RowsScanned, .. }),
+        "{err}"
+    );
+}
+
+#[test]
+fn wide_scans_hit_the_scan_fault_site() {
+    let (catalog, q) = wide_catalog();
+    let faults = Arc::new(FaultInjector::targeted().fail_nth(FaultSite::Scan, 0));
+    let err = Engine::new(catalog).with_fault_injector(faults).get(&q).unwrap_err();
+    assert_eq!(err, EngineError::FaultInjected { site: FaultSite::Scan, ordinal: 0 });
+}
+
+/// A `WIDE` catalog holding one view over every hierarchy's finest level —
+/// a view whose key does not pack into a word.
+fn wide_catalog_with_view() -> (Arc<Catalog>, CubeQuery) {
+    let (catalog, q) = wide_catalog();
+    let view = Engine::new(catalog.clone())
+        .build_view("WIDE", "mv_wide", q.group_by.clone(), q.measures.clone())
+        .unwrap();
+    catalog.register_view(view);
+    (catalog, q)
+}
+
+#[test]
+fn wide_scans_check_cancellation_per_morsel() {
+    // A cancelled `get` already fails at its plan-time checkpoint; the
+    // wide rebuild of append maintenance has only the per-morsel check.
+    let (catalog, _) = wide_catalog_with_view();
+    let version = catalog.version();
+    let governor = Arc::new(ResourceGovernor::unlimited());
+    governor.cancel();
+    let err = Engine::new(catalog.clone())
+        .with_governor(governor)
+        .append("WIDE", &wide_columns(&[[3, 3, 3, 3, 3]], vec![16.0]))
+        .unwrap_err();
+    assert_eq!(err, EngineError::Cancelled);
+    assert_eq!(catalog.version(), version, "a cancelled append commits nothing");
+    assert_eq!(catalog.table("wide_fact").unwrap().n_rows(), 4);
+}
+
+#[test]
+fn wide_views_rebuild_on_append() {
+    let (catalog, q) = wide_catalog_with_view();
+    // Maintenance charges no budget and records no scan counters.
+    let governor =
+        Arc::new(ResourceGovernor::unlimited().with_max_rows_scanned(1).with_max_output_cells(1));
+    let metrics = Arc::new(EngineMetrics::new());
+    let engine =
+        Engine::new(catalog.clone()).with_governor(governor.clone()).with_metrics(metrics.clone());
+    let batch = wide_columns(&[[1, 2, 3, 4, 5], [3, 3, 3, 3, 3]], vec![16.0, 32.0]);
+    let out = engine.append("WIDE", &batch).unwrap();
+    assert_eq!((out.views_merged, out.views_rebuilt), (0, 1));
+    assert!(out.views_dropped.is_empty());
+    assert_eq!((governor.rows_scanned(), governor.cells_emitted()), (0, 0));
+    let s = metrics.snapshot();
+    assert_eq!((s.scans, s.rows_scanned, s.morsels, s.wide_scans), (0, 0, 0, 0));
+
+    // The maintained view equals a fresh wide `get` over the grown table.
+    let view = catalog.views().into_iter().find(|v| v.name() == "mv_wide").unwrap();
+    let fresh = Engine::new(catalog.clone()).get(&q).unwrap().cube;
+    assert_eq!(view.coord_cols(), fresh.coord_cols());
+    assert_eq!(view.measure("m").unwrap(), &fresh.numeric_column("m").unwrap().data[..]);
+    assert_eq!(view.measure("m").unwrap(), &[19.0, 32.0, 4.0, 8.0]);
+    assert_eq!(view.source(), Some("WIDE"));
 }

@@ -11,7 +11,7 @@ use assess_core::ast::AssessStatement;
 use assess_core::exec::AssessRunner;
 use assess_core::plan::Strategy;
 use assess_core::AssessError;
-use olap_engine::{Engine, EngineConfig, WorkerPool};
+use olap_engine::{Engine, EngineConfig, EngineError, FaultInjector, FaultSite, WorkerPool};
 use olap_model::{AggOp, CubeQuery, CubeSchema, GroupBySet, HierarchyBuilder, MeasureDef};
 use olap_storage::{binding::DimInfo, Catalog, Column, CubeBinding, MaterializedAggregate, Table};
 use proptest::prelude::*;
@@ -54,7 +54,8 @@ fn fact_columns(rows: &[Row]) -> Vec<Column> {
 
 /// The SALES cube of the parallel suite, plus a non-distributive `price`
 /// (Avg) measure so maintenance exercises the rebuild path alongside the
-/// delta-merge path.
+/// delta-merge path, and one Count, Min and Max measure each so every
+/// distributive operator takes the delta merge.
 fn catalog_with(rows: &[Row]) -> (Arc<Catalog>, Arc<CubeSchema>) {
     let mut product = HierarchyBuilder::new("Product", ["product", "type"]);
     product.add_member_chain(&["Apple", "Fresh Fruit"]).unwrap();
@@ -70,14 +71,26 @@ fn catalog_with(rows: &[Row]) -> (Arc<Catalog>, Arc<CubeSchema>) {
     let schema = Arc::new(CubeSchema::new(
         "SALES",
         vec![product.build().unwrap(), store.build().unwrap(), date.build().unwrap()],
-        vec![MeasureDef::new("quantity", AggOp::Sum), MeasureDef::new("price", AggOp::Avg)],
+        vec![
+            MeasureDef::new("quantity", AggOp::Sum),
+            MeasureDef::new("price", AggOp::Avg),
+            MeasureDef::new("orders", AggOp::Count),
+            MeasureDef::new("min_qty", AggOp::Min),
+            MeasureDef::new("max_price", AggOp::Max),
+        ],
     ));
     let fact = Table::new("sales", fact_columns(rows)).unwrap();
     let binding = CubeBinding::new(
         schema.clone(),
         &fact,
         vec!["pkey".into(), "skey".into(), "mkey".into()],
-        vec!["quantity".into(), "price".into()],
+        vec![
+            "quantity".into(),
+            "price".into(),
+            "quantity".into(),
+            "quantity".into(),
+            "price".into(),
+        ],
         vec![
             DimInfo {
                 table: "product".into(),
@@ -103,13 +116,20 @@ fn catalog_with(rows: &[Row]) -> (Arc<Catalog>, Arc<CubeSchema>) {
     (cat, schema)
 }
 
-/// The seeded views: two delta-mergeable sums and one Avg view that must
-/// rebuild on every append.
+/// The seeded views: two delta-mergeable sums, one Avg view that must
+/// rebuild on every append, and one delta-mergeable Count, Min and Max
+/// view each.
 const VIEW_SPECS: &[(&str, &[&str], &[&str])] = &[
     ("mv_product_month", &["product", "month"], &["quantity"]),
     ("mv_type_country", &["type", "country"], &["quantity"]),
     ("mv_country_price", &["country"], &["quantity", "price"]),
+    ("mv_month_orders", &["month"], &["orders"]),
+    ("mv_store_min_qty", &["store", "type"], &["min_qty"]),
+    ("mv_product_max_price", &["product", "country"], &["max_price", "orders"]),
 ];
+
+/// Views in [`VIEW_SPECS`] maintained by a delta merge (all but the Avg one).
+const MERGED_VIEWS: usize = 5;
 
 /// Materializes one aggregate from the current fact table, the same
 /// recipe the SSB dataset uses for its default views.
@@ -225,7 +245,7 @@ proptest! {
         let outcome = Engine::new(grown.clone())
             .append("SALES", &fact_columns(&extra_rows))
             .expect("append commits");
-        prop_assert_eq!(outcome.views_merged, 2);
+        prop_assert_eq!(outcome.views_merged, MERGED_VIEWS);
         prop_assert_eq!(outcome.views_rebuilt, 1);
         prop_assert_eq!(outcome.appended(), appended);
 
@@ -299,5 +319,29 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// Maintenance scans run under the engine's fault injector: a fault in the
+/// delta scan fails the append, and the catalog keeps its version, fact
+/// rows and views.
+#[test]
+fn faulted_maintenance_fails_the_append_and_commits_nothing() {
+    let (cat, schema) = catalog_with(&gen_rows(7, 60));
+    register_views(&cat, &schema);
+    let version = cat.version();
+    let views = cat.views();
+    let faults = Arc::new(FaultInjector::targeted().fail_nth(FaultSite::Morsel, 0));
+    let err = Engine::new(cat.clone())
+        .with_fault_injector(faults)
+        .append("SALES", &fact_columns(&gen_rows(8, 5)))
+        .unwrap_err();
+    assert_eq!(err, EngineError::FaultInjected { site: FaultSite::Morsel, ordinal: 0 });
+    assert_eq!(cat.version(), version);
+    assert_eq!(cat.table("sales").unwrap().n_rows(), 60);
+    let after = cat.views();
+    assert_eq!(after.len(), views.len());
+    for (before, after) in views.iter().zip(&after) {
+        assert!(Arc::ptr_eq(before, after), "view {} was replaced", before.name());
     }
 }

@@ -25,7 +25,7 @@
 //! * [`admission`] — tenant-aware admission control: per-tenant quotas and
 //!   token-bucket rate limits behind structured `overloaded`/`queue_full`
 //!   refusals carrying `retry_after_ms` hints, soft-shedding levels, the
-//!   deficit-weighted-round-robin [`FairQueue`](admission::FairQueue) the
+//!   deficit-weighted-round-robin [`admission::FairQueue`] the
 //!   executors drain, and the derivation of each run's effective policy
 //!   from the server's ceiling, the tenant's ceiling and the session's
 //!   preferences;

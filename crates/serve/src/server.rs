@@ -16,7 +16,7 @@
 //!   cancellation on a dropped connection) work;
 //! * a **fixed pool** of [`ServerConfig::workers`] executor threads pops
 //!   jobs off the shared queue and takes each through one lifecycle
-//!   ([`executor_loop`]). Responses go back through the connection's
+//!   (`executor_loop`). Responses go back through the connection's
 //!   shared writer, one line at a time, so executor responses interleave
 //!   safely with the reader's own.
 //!

@@ -343,7 +343,7 @@ tuple_strategies! {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Sizes accepted by [`vec`]: `n`, `lo..hi`, `lo..=hi`.
+    /// Sizes accepted by [`vec()`]: `n`, `lo..hi`, `lo..=hi`.
     pub struct SizeRange {
         lo: usize,
         hi_inclusive: usize,

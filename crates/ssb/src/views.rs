@@ -12,9 +12,9 @@
 
 use std::sync::Arc;
 
-use olap_engine::{Engine, EngineConfig};
-use olap_model::{CubeQuery, CubeSchema, GroupBySet};
-use olap_storage::{Catalog, MaterializedAggregate};
+use olap_engine::Engine;
+use olap_model::{CubeSchema, GroupBySet};
+use olap_storage::Catalog;
 
 use crate::generate::SSB_CUBE;
 
@@ -23,16 +23,16 @@ const VIEW_MEASURES: &[&str] = &["quantity", "revenue"];
 
 /// Builds and registers the three default views, returning their names.
 ///
-/// Views are computed by the engine itself from the fact table (with the
-/// view path disabled, naturally).
+/// Views are computed by the engine itself from the fact table, through
+/// [`Engine::build_view`] — the function append maintenance rebuilds a view
+/// with. Each records `SSB` as its source, which enables incremental
+/// maintenance when the fact table grows (`Engine::append`); without it
+/// appends would drop the view.
 pub fn register_default_views(
     catalog: &Arc<Catalog>,
     schema: &Arc<CubeSchema>,
 ) -> Result<Vec<String>, olap_engine::EngineError> {
-    let engine = Engine::with_config(
-        catalog.clone(),
-        EngineConfig { use_views: false, ..EngineConfig::default() },
-    );
+    let engine = Engine::new(catalog.clone());
     let specs: &[(&str, &[&str])] = &[
         ("mv_customer_year", &["customer", "year"]),
         ("mv_part_cnation", &["part", "c_nation"]),
@@ -42,24 +42,7 @@ pub fn register_default_views(
     for (name, levels) in specs {
         let group_by = GroupBySet::from_level_names(schema, levels)?;
         let measures: Vec<String> = VIEW_MEASURES.iter().map(|m| m.to_string()).collect();
-        let out =
-            engine.get(&CubeQuery::new(SSB_CUBE, group_by.clone(), vec![], measures.clone()))?;
-        let measure_cols: Vec<Vec<f64>> = measures
-            .iter()
-            .map(|m| out.cube.numeric_column(m).expect("measure present").data.clone())
-            .collect();
-        let view = MaterializedAggregate::new(
-            *name,
-            group_by,
-            out.cube.coord_cols().to_vec(),
-            measures,
-            measure_cols,
-        )
-        .expect("view shape is consistent")
-        // Provenance enables incremental maintenance when the fact table
-        // grows (`Engine::append`); without it appends would drop the view.
-        .with_source(SSB_CUBE);
-        catalog.register_view(view);
+        catalog.register_view(engine.build_view(SSB_CUBE, name, group_by, measures)?);
         names.push(name.to_string());
     }
     Ok(names)
@@ -69,7 +52,8 @@ pub fn register_default_views(
 mod tests {
     use super::*;
     use crate::generate::{generate, SsbConfig};
-    use olap_model::Predicate;
+    use olap_engine::EngineConfig;
+    use olap_model::{CubeQuery, Predicate};
 
     #[test]
     fn views_accelerate_and_agree_with_fact_scans() {

@@ -51,9 +51,9 @@ impl Delta {
     }
 
     /// Stamps the settled catalog version the committing mutation produced.
-    /// Normally called by [`Catalog::commit_append`](crate::Catalog::
-    /// commit_append); public so delta consumers can build stamped
-    /// descriptors in tests.
+    /// Normally called by
+    /// [`Catalog::commit_append`](crate::Catalog::commit_append); public so
+    /// delta consumers can build stamped descriptors in tests.
     pub fn stamped(mut self, version: u64) -> Delta {
         self.version = version;
         self

@@ -51,8 +51,8 @@ pub enum CodeStore {
     /// byte `b >> 3`). Byte addressing keeps every code inside one
     /// unaligned word load — the decoder never reassembles a value from
     /// two words, which is what makes the unpack competitive with a
-    /// plain integer cast. The buffer always carries [`PACK_PAD`]
-    /// trailing zero bytes ([`packed_len`] is the invariant).
+    /// plain integer cast. The buffer always carries `PACK_PAD`
+    /// trailing zero bytes (`packed_len` is the invariant).
     BitPacked { width: u32, len: usize, bytes: Vec<u8> },
     /// Run-length runs: run `r` covers rows `starts[r] .. starts[r + 1]`
     /// (the last run ends at `len`) and holds `values[r]`. Starts are
